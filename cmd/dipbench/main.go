@@ -70,7 +70,7 @@ func main() {
 	blockProfile := flag.String("blockprofile", "", "write blocking profile to file at exit")
 	hotPath := flag.String("hotpath", "", "run only the hot-path benchmarks and merge numbers into this JSON file")
 	scaling := flag.String("scaling", "", "run only the n × GOMAXPROCS scaling table and merge rows into this JSON file")
-	assertSpeedup := flag.Float64("assert-speedup", 0, "with -scaling: fail unless parallel ns/op <= this factor × serial ns/op for every n")
+	assertSpeedup := flag.Float64("assert-speedup", 0, "with -scaling: fail unless ns/op at the highest GOMAXPROCS <= NumCPU is <= this factor × serial ns/op for every n")
 	force := flag.Bool("force", false, "with -hotpath/-scaling: overwrite current even when GOMAXPROCS differs from the baseline")
 	soundnessSweep := flag.Bool("soundness", false, "run only the Monte-Carlo soundness estimator sweep (E-S)")
 	flag.Parse()
@@ -200,7 +200,15 @@ func runScaling(file string, quick, jsonOut, force bool, assertSpeedup float64) 
 		return err
 	}
 	if assertSpeedup > 0 {
-		return benchkit.AssertSpeedup(results, assertSpeedup)
+		checked, err := benchkit.AssertSpeedup(results, assertSpeedup, runtime.NumCPU())
+		if err != nil {
+			return err
+		}
+		if checked == 0 {
+			fmt.Fprintf(os.Stderr, "dipbench: speedup gate skipped: no GOMAXPROCS in (1, NumCPU=%d] to compare\n", runtime.NumCPU())
+		} else {
+			fmt.Fprintf(os.Stderr, "dipbench: speedup gate passed for %d sizes at GOMAXPROCS <= NumCPU=%d\n", checked, runtime.NumCPU())
+		}
 	}
 	return nil
 }

@@ -170,14 +170,20 @@ func FillSpeedups(results []Result) {
 }
 
 // AssertSpeedup checks the scaling table's CI invariant: for every n
-// present, ns/op at the highest measured GOMAXPROCS must not exceed
-// tolerance × ns/op at GOMAXPROCS=1. tolerance 1.0 demands parity;
-// values slightly above absorb scheduler noise on small hosts.
-func AssertSpeedup(results []Result, tolerance float64) error {
+// present, ns/op at the highest measured GOMAXPROCS P with 1 < P <=
+// numCPU must not exceed tolerance × ns/op at GOMAXPROCS=1. Rows above
+// numCPU oversubscribe the host, so their timings say nothing about the
+// code and are never compared. tolerance 1.0 demands parity; values
+// slightly above absorb scheduler noise on small hosts.
+//
+// It returns how many sizes were compared. Zero with a nil error means
+// the gate checked nothing (a 1-CPU host, or no P=1 row): report it as
+// skipped, not passed.
+func AssertSpeedup(results []Result, tolerance float64, numCPU int) (int, error) {
 	serial := map[int]int64{}  // n -> ns/op at P=1
-	best := map[int][2]int64{} // n -> (P, ns/op) at highest P
+	best := map[int][2]int64{} // n -> (P, ns/op) at highest P <= numCPU
 	for _, r := range results {
-		if r.Name != ScalingName || r.N == 0 {
+		if r.Name != ScalingName || r.N == 0 || r.GOMAXPROCS > numCPU {
 			continue
 		}
 		if r.GOMAXPROCS == 1 {
@@ -186,16 +192,20 @@ func AssertSpeedup(results []Result, tolerance float64) error {
 			best[r.N] = [2]int64{int64(r.GOMAXPROCS), r.NsPerOp}
 		}
 	}
-	for n, s := range serial {
-		b, ok := best[n]
-		if !ok {
-			continue
+	sizes := make([]int, 0, len(serial))
+	for n := range serial {
+		if _, ok := best[n]; ok {
+			sizes = append(sizes, n)
 		}
+	}
+	sort.Ints(sizes)
+	for _, n := range sizes {
+		s, b := serial[n], best[n]
 		if limit := float64(s) * tolerance; float64(b[1]) > limit {
-			return fmt.Errorf(
+			return 0, fmt.Errorf(
 				"benchkit: scaling regression at n=%d: GOMAXPROCS=%d took %d ns/op, GOMAXPROCS=1 took %d ns/op (limit %.0f ns/op at tolerance %.2f)",
 				n, b[0], b[1], s, limit, tolerance)
 		}
 	}
-	return nil
+	return len(sizes), nil
 }

@@ -50,6 +50,33 @@ func TestFillSpeedups(t *testing.T) {
 	}
 }
 
+// TestAssertSpeedupCapsAtNumCPU: on a 2-CPU host the gate compares the
+// P=2 row, never the oversubscribed P=4 row, and with one CPU it checks
+// nothing rather than passing.
+func TestAssertSpeedupCapsAtNumCPU(t *testing.T) {
+	rows := []Result{
+		{Name: ScalingName, N: 100, GOMAXPROCS: 1, NsPerOp: 1000},
+		{Name: ScalingName, N: 100, GOMAXPROCS: 2, NsPerOp: 600},
+		{Name: ScalingName, N: 100, GOMAXPROCS: 4, NsPerOp: 900}, // oversubscribed: fails 0.65 if compared
+		{Name: ScalingName, N: 200, GOMAXPROCS: 1, NsPerOp: 2000},
+		{Name: ScalingName, N: 200, GOMAXPROCS: 2, NsPerOp: 1200},
+		{Name: ScalingName, N: 200, GOMAXPROCS: 4, NsPerOp: 1900},
+	}
+	if checked, err := AssertSpeedup(rows, 0.65, 2); err != nil || checked != 2 {
+		t.Fatalf("NumCPU=2: checked %d sizes, err %v; want 2, nil", checked, err)
+	}
+	if _, err := AssertSpeedup(rows, 0.65, 4); err == nil {
+		t.Fatal("NumCPU=4: the slow P=4 row passed the gate")
+	}
+	if checked, err := AssertSpeedup(rows, 0.65, 1); err != nil || checked != 0 {
+		t.Fatalf("NumCPU=1: checked %d sizes, err %v; want a skipped gate", checked, err)
+	}
+	rows[1].NsPerOp = 700 // P=2 at 0.70x of serial
+	if _, err := AssertSpeedup(rows, 0.65, 2); err == nil {
+		t.Fatal("NumCPU=2: a P=2 row above the tolerance passed")
+	}
+}
+
 // TestScalingCertifyAllocs is the allocs-per-node regression gate for
 // the bulk/Frozen certify path the scaling table measures — the
 // existing AllocsPerRun tests in internal/dip cover the 10k map-built

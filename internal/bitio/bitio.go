@@ -6,6 +6,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -14,29 +15,48 @@ import (
 // ErrShortRead is returned when a reader runs out of bits.
 var ErrShortRead = errors.New("bitio: read past end of bit string")
 
-// Writer accumulates bits most-significant-first into a byte slice.
-// The zero value is ready to use.
+// Writer accumulates bits most-significant-first. The zero value is
+// ready to use.
+//
+// Bits are packed a 64-bit word at a time: the pending tail lives
+// MSB-aligned in word and is flushed to buf as eight big-endian bytes
+// whenever it fills, so every write is a couple of shifts and an OR no
+// matter its width.
 type Writer struct {
-	buf  []byte
-	nbit int
+	buf  []byte // flushed words, big-endian
+	word uint64 // pending bits, MSB-aligned; low 64-wn bits are zero
+	wn   int    // pending bit count, always < 64 between calls
 }
 
 // Len returns the number of bits written so far.
-func (w *Writer) Len() int { return w.nbit }
+func (w *Writer) Len() int { return 8*len(w.buf) + w.wn }
 
-// Bytes returns the underlying storage. The final byte may be partially
-// filled; unused low-order bits are zero.
-func (w *Writer) Bytes() []byte { return w.buf }
+// put appends the n high-order bits of x, whose low 64-n bits must be
+// zero (n = 0 appends nothing, whatever x is).
+func (w *Writer) put(x uint64, n int) {
+	if n == 0 {
+		return
+	}
+	free := 64 - w.wn
+	w.word |= x >> uint(w.wn)
+	if n < free {
+		w.wn += n
+		return
+	}
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.word)
+	// A shift by 64 yields 0 in Go, which is exactly the empty remainder
+	// when n == free == 64.
+	w.word = x << uint(free)
+	w.wn = n - free
+}
 
 // WriteBit appends a single bit.
 func (w *Writer) WriteBit(b bool) {
-	if w.nbit%8 == 0 {
-		w.buf = append(w.buf, 0)
-	}
+	var x uint64
 	if b {
-		w.buf[w.nbit/8] |= 1 << (7 - uint(w.nbit%8))
+		x = 1 << 63
 	}
-	w.nbit++
+	w.put(x, 1)
 }
 
 // WriteUint appends the width low-order bits of v, most significant first.
@@ -49,26 +69,48 @@ func (w *Writer) WriteUint(v uint64, width int) {
 	if width < 64 && v >= 1<<uint(width) {
 		panic(fmt.Sprintf("bitio: value %d overflows %d bits", v, width))
 	}
-	for i := width - 1; i >= 0; i-- {
-		w.WriteBit(v>>(uint(i))&1 == 1)
-	}
+	w.put(v<<uint(64-width), width)
 }
 
 // WriteBool appends a boolean as one bit.
 func (w *Writer) WriteBool(b bool) { w.WriteBit(b) }
 
+// WriteString appends every bit of s. Inline strings (at most 64 bits)
+// cost one word write; spilled ones one per 64 bits.
+func (w *Writer) WriteString(s String) {
+	if s.data == nil {
+		w.put(s.word, s.nbit)
+		return
+	}
+	for off := 0; off < s.nbit; off += 64 {
+		n := min(64, s.nbit-off)
+		w.put(s.window(off)&highMask(n), n)
+	}
+}
+
 // String captures the written bits as an immutable bit string.
 func (w *Writer) String() String {
-	if w.nbit <= inlineBits {
-		var word uint64
-		for i, b := range w.buf {
-			word |= uint64(b) << (56 - 8*uint(i))
-		}
-		return String{word: word, nbit: w.nbit}
+	nbit := w.Len()
+	switch {
+	case len(w.buf) == 0:
+		return String{word: w.word, nbit: nbit}
+	case nbit == inlineBits:
+		return String{word: binary.BigEndian.Uint64(w.buf), nbit: nbit}
 	}
-	cp := make([]byte, len(w.buf))
+	cp := make([]byte, len(w.buf), (nbit+7)/8)
 	copy(cp, w.buf)
-	return String{data: cp, nbit: w.nbit}
+	for i := 0; i < w.wn; i += 8 {
+		cp = append(cp, byte(w.word>>(56-uint(i))))
+	}
+	return String{data: cp, nbit: nbit}
+}
+
+// highMask returns a word with its n high-order bits set, 0 <= n <= 64.
+func highMask(n int) uint64 {
+	if n == 0 {
+		return 0
+	}
+	return ^uint64(0) << uint(64-n)
 }
 
 // inlineBits is the largest bit length stored inline in a String.
@@ -149,7 +191,32 @@ func (s String) String() string {
 	return string(out)
 }
 
-// Reader consumes a String most-significant-bit first.
+// window returns the 64 bits of s starting at bit pos, MSB-aligned;
+// positions past the end read as zero. 0 <= pos <= s.nbit.
+func (s String) window(pos int) uint64 {
+	if s.data == nil {
+		return s.word << uint(pos) // pos == 64 shifts everything out
+	}
+	i, sh := pos>>3, uint(pos&7)
+	var x uint64
+	if i+8 <= len(s.data) {
+		x = binary.BigEndian.Uint64(s.data[i:])
+	} else {
+		for j, b := range s.data[i:] {
+			x |= uint64(b) << (56 - 8*uint(j))
+		}
+	}
+	if sh != 0 && i+8 < len(s.data) {
+		x = x<<sh | uint64(s.data[i+8])>>(8-sh)
+	} else {
+		x <<= sh
+	}
+	return x
+}
+
+// Reader consumes a String most-significant-bit first. A read longer
+// than what remains returns ErrShortRead and leaves the reader
+// exhausted, as a bit-by-bit reader that ran off the end would.
 type Reader struct {
 	s   String
 	pos int
@@ -158,14 +225,25 @@ type Reader struct {
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.s.nbit - r.pos }
 
+// take reserves the next n bits and returns their start, or fails with
+// ErrShortRead (exhausting the reader) when fewer than n remain.
+func (r *Reader) take(n int) (int, error) {
+	if n > r.s.nbit-r.pos {
+		r.pos = r.s.nbit
+		return 0, ErrShortRead
+	}
+	pos := r.pos
+	r.pos += n
+	return pos, nil
+}
+
 // ReadBit consumes one bit.
 func (r *Reader) ReadBit() (bool, error) {
-	if r.pos >= r.s.nbit {
-		return false, ErrShortRead
+	pos, err := r.take(1)
+	if err != nil {
+		return false, err
 	}
-	b := r.s.Bit(r.pos)
-	r.pos++
-	return b, nil
+	return r.s.window(pos)>>63 == 1, nil
 }
 
 // ReadUint consumes width bits as an unsigned integer.
@@ -173,22 +251,39 @@ func (r *Reader) ReadUint(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("bitio: invalid width %d", width)
 	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v <<= 1
-		if b {
-			v |= 1
-		}
+	pos, err := r.take(width)
+	if err != nil || width == 0 {
+		return 0, err
 	}
-	return v, nil
+	return r.s.window(pos) >> uint(64-width), nil
 }
 
 // ReadBool consumes one bit as a boolean.
 func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
+
+// ReadString consumes the next n bits as a String in canonical form. It
+// does not allocate for n <= 64, where the result is inline.
+func (r *Reader) ReadString(n int) (String, error) {
+	if n < 0 {
+		return String{}, fmt.Errorf("bitio: invalid length %d", n)
+	}
+	pos, err := r.take(n)
+	if err != nil {
+		return String{}, err
+	}
+	if n <= inlineBits {
+		return String{word: r.s.window(pos) & highMask(n), nbit: n}, nil
+	}
+	data := make([]byte, (n+7)/8)
+	for off := 0; off < n; off += 64 {
+		m := min(64, n-off)
+		x := r.s.window(pos+off) & highMask(m)
+		for i := 0; i < m; i += 8 {
+			data[(off+i)/8] = byte(x >> (56 - uint(i)))
+		}
+	}
+	return String{data: data, nbit: n}, nil
+}
 
 // BitsFor returns the number of bits needed to represent values in [0, n),
 // i.e. ceil(log2 n), with BitsFor(0) = BitsFor(1) = 0.

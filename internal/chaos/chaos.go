@@ -121,16 +121,19 @@ func (c *core) Corrupt(round int, a *dip.Assignment, prev []*dip.Assignment) (*d
 func (c *core) Decide(node int, honest bool) bool { return honest }
 
 // flipBit returns s with bit i inverted. bitio strings are immutable,
-// so the flip rebuilds the string bit by bit.
+// so the flip copies the prefix and suffix around the flipped bit.
 func flipBit(s bitio.String, i int) bitio.String {
-	var w bitio.Writer
-	for j := 0; j < s.Len(); j++ {
-		b := s.Bit(j)
-		if j == i {
-			b = !b
-		}
-		w.WriteBit(b)
+	if i < 0 || i >= s.Len() {
+		return s
 	}
+	r := s.Reader()
+	head, _ := r.ReadString(i)
+	b, _ := r.ReadBit()
+	tail, _ := r.ReadString(r.Remaining())
+	var w bitio.Writer
+	w.WriteString(head)
+	w.WriteBit(!b)
+	w.WriteString(tail)
 	return w.String()
 }
 
@@ -138,8 +141,8 @@ func flipBit(s bitio.String, i int) bitio.String {
 // blanked coin still decodes under fixed-width readers.
 func zeroString(s bitio.String) bitio.String {
 	var w bitio.Writer
-	for j := 0; j < s.Len(); j++ {
-		w.WriteBit(false)
+	for n := s.Len(); n > 0; n -= 64 {
+		w.WriteUint(0, min(n, 64))
 	}
 	return w.String()
 }

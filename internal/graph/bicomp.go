@@ -16,6 +16,21 @@ type BiconnectedDecomposition struct {
 	CompOf []int
 }
 
+// Block returns biconnected component c as a graph on Vertices[c]
+// (vertex i standing for Vertices[c][i]) with exactly the edges of
+// Components[c], inserted in that order, plus the index mapping, which
+// is Vertices[c] itself and must not be modified. Local indices come
+// from a binary search of the sorted vertex list, so the cost is
+// O(|C| log |C|) however large the host graph.
+func (d *BiconnectedDecomposition) Block(c int) (*Graph, []int) {
+	verts := d.Vertices[c]
+	h := NewSized(len(verts), len(d.Components[c]))
+	for _, e := range d.Components[c] {
+		h.mustAddEdge(sort.SearchInts(verts, e.U), sort.SearchInts(verts, e.V))
+	}
+	return h, verts
+}
+
 // Biconnected computes the biconnected components of g via Tarjan's
 // low-link algorithm (iterative, so deep graphs do not overflow the stack).
 func Biconnected(g *Graph) *BiconnectedDecomposition {

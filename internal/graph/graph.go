@@ -257,23 +257,12 @@ func (g *Graph) Components() [][]int {
 }
 
 // InducedSubgraph returns the subgraph induced by verts and the mapping
-// from new vertex indices to original ones.
+// from new vertex indices to original ones. It is the one-part case of
+// InducedParts.
 func (g *Graph) InducedSubgraph(verts []int) (*Graph, []int) {
-	idx := make(map[int]int, len(verts))
 	orig := make([]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-		orig[i] = v
-	}
-	h := New(len(verts))
-	for _, e := range g.edges {
-		iu, okU := idx[e.U]
-		iv, okV := idx[e.V]
-		if okU && okV {
-			h.mustAddEdge(iu, iv)
-		}
-	}
-	return h, orig
+	copy(orig, verts)
+	return g.InducedParts([][]int{verts}).Graph(0), orig
 }
 
 // Contract returns the graph obtained by merging vertices according to

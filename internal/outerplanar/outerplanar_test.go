@@ -19,8 +19,9 @@ func TestHonestPlanOnGeneratedInstances(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		// Every component path must be properly nested.
-		for _, sub := range plan.Components(gi.G) {
-			if !planar.ProperlyNested(sub.G, sub.Pos) {
+		component := plan.Components(gi.G)
+		for c := range plan.Paths {
+			if sub := component(c); !planar.ProperlyNested(sub.G, sub.Pos) {
 				t.Fatalf("trial %d: component path not nested", trial)
 			}
 		}

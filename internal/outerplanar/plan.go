@@ -86,12 +86,11 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	// by its parent block before child blocks reference it.
 	order := blocksByDepth(bct)
 	for _, c := range order {
-		verts := dec.Vertices[c]
 		sep := bct.ParentCut[c]
 		if c == bct.RootBlock {
-			sep = verts[0]
+			sep = dec.Vertices[c][0]
 		}
-		path, err := componentPath(g, dec.Components[c], verts, sep)
+		path, err := componentPath(dec, c, sep)
 		if err != nil {
 			return nil, fmt.Errorf("outerplanar: component %d: %w", c, err)
 		}
@@ -133,18 +132,18 @@ func blocksByDepth(bct *graph.BlockCutTree) []int {
 	return order
 }
 
-// componentPath returns a Hamiltonian path of the component starting at
+// componentPath returns a Hamiltonian path of component c starting at
 // sep, such that the non-path edges nest above it (a Hamiltonian cycle of
 // the biconnected outerplanar component, broken at sep).
-func componentPath(g *graph.Graph, edges []graph.Edge, verts []int, sep int) ([]int, error) {
-	if len(verts) == 2 {
+func componentPath(dec *graph.BiconnectedDecomposition, c, sep int) ([]int, error) {
+	if verts := dec.Vertices[c]; len(verts) == 2 {
 		other := verts[0]
 		if other == sep {
 			other = verts[1]
 		}
 		return []int{sep, other}, nil
 	}
-	sub, orig := inducedByEdges(edges, verts)
+	sub, orig := dec.Block(c)
 	cyc, err := planar.HamiltonianCycleOuterplanar(sub)
 	if err != nil {
 		return nil, err
@@ -167,42 +166,21 @@ func componentPath(g *graph.Graph, edges []graph.Edge, verts []int, sep int) ([]
 	return path, nil
 }
 
-func inducedByEdges(edges []graph.Edge, verts []int) (*graph.Graph, []int) {
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	h := graph.New(len(verts))
-	for _, e := range edges {
-		h.MustAddEdge(idx[e.U], idx[e.V])
-	}
-	return h, verts
-}
-
-// Components returns, for each component, the induced sub-instance and
-// the vertex mapping sub -> real (index 0 is the separating node).
-func (p *Plan) Components(g *graph.Graph) []SubInstance {
-	var subs []SubInstance
-	for _, path := range p.Paths {
-		idx := make(map[int]int, len(path))
-		for i, v := range path {
-			idx[v] = i
-		}
-		sub := graph.New(len(path))
-		for _, e := range g.Edges() {
-			iu, okU := idx[e.U]
-			iv, okV := idx[e.V]
-			if okU && okV {
-				sub.MustAddEdge(iu, iv)
-			}
-		}
+// Components prepares every component's sub-instance with one pass over
+// g's edges and returns a function that builds component c's: the
+// subgraph induced by Paths[c], with sub vertex i standing for
+// Paths[c][i] (index 0 is the separating node) at path position i. The
+// composite runner builds each one just before its sub-run.
+func (p *Plan) Components(g *graph.Graph) func(c int) SubInstance {
+	parts := g.InducedParts(p.Paths)
+	return func(c int) SubInstance {
+		path := p.Paths[c]
 		pos := make([]int, len(path))
 		for i := range path {
 			pos[i] = i
 		}
-		subs = append(subs, SubInstance{G: sub, Pos: pos, Orig: path})
+		return SubInstance{G: parts.Graph(c), Pos: pos, Orig: path}
 	}
-	return subs
 }
 
 // SubInstance is one component's derived path-outerplanarity instance.

@@ -83,7 +83,9 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 
 	// Stage 3: path-outerplanarity in every component.
 	accepted := structRes.Accepted
-	for ci, sub := range plan.Components(g) {
+	component := plan.Components(g)
+	for ci := range plan.Paths {
+		sub := component(ci)
 		if sub.G.N() < 2 {
 			return nil, fmt.Errorf("outerplanar: degenerate component %d", ci)
 		}

@@ -37,7 +37,6 @@ func Embed(g *graph.Graph) (*Rotation, error) {
 	dec := graph.Biconnected(g)
 	for ci := range dec.Components {
 		comp := dec.Components[ci]
-		verts := dec.Vertices[ci]
 		if len(comp) == 1 {
 			// Bridge: trivial rotation contribution.
 			e := comp[0]
@@ -45,7 +44,7 @@ func Embed(g *graph.Graph) (*Rotation, error) {
 			rot[e.V] = append(rot[e.V], e.U)
 			continue
 		}
-		sub, orig := inducedByEdges(comp, verts)
+		sub, orig := dec.Block(ci)
 		blockRot, err := dmpBiconnected(sub)
 		if err != nil {
 			return nil, err
@@ -68,20 +67,6 @@ func Embed(g *graph.Graph) (*Rotation, error) {
 		return nil, fmt.Errorf("planar: internal error: assembled rotation fails Euler check")
 	}
 	return r, nil
-}
-
-// inducedByEdges builds a graph on the given vertex set containing exactly
-// the given edges (not the full induced subgraph), plus the index mapping.
-func inducedByEdges(edges []graph.Edge, verts []int) (*graph.Graph, []int) {
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	h := graph.New(len(verts))
-	for _, e := range edges {
-		h.MustAddEdge(idx[e.U], idx[e.V])
-	}
-	return h, verts
 }
 
 // dmpBiconnected embeds a biconnected graph with >= 3 vertices, returning

@@ -80,7 +80,7 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 			p.ParentF[sep] = -1
 			p.IsLeader[sep] = true
 		}
-		sub, orig := inducedBlock(g, dec, c)
+		sub, orig := dec.Block(c)
 		sepLocal := indexOf(orig, sep)
 		parents := dfsTree(sub, sepLocal)
 		// Root of a DFS tree of a biconnected graph has one child.
@@ -109,19 +109,6 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-func inducedBlock(g *graph.Graph, dec *graph.BiconnectedDecomposition, c int) (*graph.Graph, []int) {
-	verts := dec.Vertices[c]
-	idx := make(map[int]int, len(verts))
-	for i, v := range verts {
-		idx[v] = i
-	}
-	h := graph.New(len(verts))
-	for _, e := range dec.Components[c] {
-		h.MustAddEdge(idx[e.U], idx[e.V])
-	}
-	return h, verts
 }
 
 func indexOf(s []int, x int) int {
@@ -189,7 +176,7 @@ type structR1 struct {
 
 func (l structR1) encode() bitio.String {
 	var w bitio.Writer
-	appendBits(&w, l.FC.Encode())
+	w.WriteString(l.FC.Encode())
 	w.WriteBool(l.Cut)
 	w.WriteBool(l.Leader)
 	return w.String()
@@ -197,7 +184,7 @@ func (l structR1) encode() bitio.String {
 
 func decodeStructR1(s bitio.String) (structR1, error) {
 	r := s.Reader()
-	fcBits, err := readBits(r, forestcode.LabelBits)
+	fcBits, err := r.ReadString(forestcode.LabelBits)
 	if err != nil {
 		return structR1{}, fmt.Errorf("treewidth2: r1: %w", err)
 	}
@@ -224,7 +211,7 @@ type structCoin struct {
 func (c structCoin) encode(p Params) bitio.String {
 	var w bitio.Writer
 	w.WriteUint(c.S, p.L)
-	appendBits(&w, c.ST.Encode(p.ST))
+	w.WriteString(c.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -234,7 +221,7 @@ func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
 	if err != nil {
 		return structCoin{}, fmt.Errorf("treewidth2: coin: %w", err)
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return structCoin{}, err
 	}
@@ -257,7 +244,7 @@ func (l structR2) encode(p Params) bitio.String {
 	w.WriteUint(l.Self, p.L)
 	w.WriteUint(l.Sep, p.L)
 	w.WriteUint(l.Lead, p.L)
-	appendBits(&w, l.ST.Encode(p.ST))
+	w.WriteString(l.ST.Encode(p.ST))
 	return w.String()
 }
 
@@ -274,7 +261,7 @@ func decodeStructR2(s bitio.String, p Params) (structR2, error) {
 	if l.Lead, err = r.ReadUint(p.L); err != nil {
 		return l, err
 	}
-	stBits, err := readBits(r, p.ST.Reps+p.ST.IDBits)
+	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
 	if err != nil {
 		return l, err
 	}
@@ -529,25 +516,14 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	}
 
 	accepted := structRes.Accepted
+	// Biconnected blocks share at most one vertex, so the subgraph
+	// induced by a block's vertices is the block itself.
+	blocks := g.InducedParts(plan.BlockVerts)
 	for c, verts := range plan.BlockVerts {
 		if len(verts) < 2 {
 			continue
 		}
-		idx := make(map[int]int, len(verts))
-		for i, v := range verts {
-			idx[v] = i
-		}
-		sub := graph.New(len(verts))
-		for _, e := range g.Edges() {
-			iu, okU := idx[e.U]
-			iv, okV := idx[e.V]
-			if okU && okV {
-				// Biconnected blocks share at most one vertex, so any
-				// edge with both endpoints in the block belongs to it.
-				sub.MustAddEdge(iu, iv)
-			}
-		}
-		sres, err := seriesparallel.Run(sub, nil, rng, cfg.Child(fmt.Sprintf("block-%d", c))...)
+		sres, err := seriesparallel.Run(blocks.Graph(c), nil, rng, cfg.Child(fmt.Sprintf("block-%d", c))...)
 		if err != nil {
 			return nil, err
 		}
@@ -582,22 +558,4 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 		}
 	}
 	return res, nil
-}
-
-func appendBits(w *bitio.Writer, s bitio.String) {
-	for i := 0; i < s.Len(); i++ {
-		w.WriteBit(s.Bit(i))
-	}
-}
-
-func readBits(r *bitio.Reader, n int) (bitio.String, error) {
-	var w bitio.Writer
-	for i := 0; i < n; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return bitio.String{}, err
-		}
-		w.WriteBit(b)
-	}
-	return w.String(), nil
 }
