@@ -10,111 +10,53 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/gen"
+	"repro/internal/protocol"
 )
 
 const benchN = 4096
 
-func reportSize(b *testing.B, bits int, rounds int) {
-	b.ReportMetric(float64(bits), "proof-bits")
-	b.ReportMetric(float64(rounds), "rounds")
+// BenchmarkProtocols runs every registered protocol (E1–E6, E11) on its
+// own family at n = benchN through the registry path and reports its
+// proof size against the declared bound. The E11 sub-benchmark also
+// runs the pathouter DIP on the PLS baseline's instance: the paper's
+// DIP-vs-PLS comparison on one shared instance.
+func BenchmarkProtocols(b *testing.B) {
+	pathouter, ok := protocol.Get("pathouter")
+	if !ok {
+		b.Fatal("pathouter not registered")
+	}
+	for _, d := range protocol.All() {
+		b.Run(d.Suite+"-"+d.Name, func(b *testing.B) {
+			spec := gen.FamilySpec{Family: d.Family, N: benchN, ChordProb: -1}
+			var row, dipRow exp.SizeRow
+			for i := 0; i < b.N; i++ {
+				row = acceptedRun(b, d, spec, int64(i))
+				if d.Name == "pls" {
+					dipRow = acceptedRun(b, pathouter, spec, int64(i))
+				}
+			}
+			b.ReportMetric(float64(row.Bits), "proof-bits")
+			b.ReportMetric(float64(row.BoundBits), "bound-bits")
+			b.ReportMetric(float64(row.Rounds), "rounds")
+			if d.Name == "pls" {
+				b.ReportMetric(float64(dipRow.Bits), "dip-bits")
+			}
+		})
+	}
 }
 
-func BenchmarkE1PathOuterplanarity(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E1PathOuterplanarity(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
+// acceptedRun runs d through the registry path and fails the benchmark
+// unless the honest run accepts.
+func acceptedRun(b *testing.B, d *protocol.Descriptor, spec gen.FamilySpec, seed int64) exp.SizeRow {
+	row, err := exp.Protocol(d, spec, seed)
+	if err != nil {
+		b.Fatal(err)
 	}
-	reportSize(b, last.Bits, last.Rounds)
-	b.ReportMetric(float64(last.BaselineBits), "pls-bits")
-}
-
-func BenchmarkE2Outerplanarity(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E2Outerplanarity(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
+	if !row.Accepted {
+		b.Fatalf("%s rejected", d.Name)
 	}
-	reportSize(b, last.Bits, last.Rounds)
-}
-
-func BenchmarkE3Embedding(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E3Embedding(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
-
-func BenchmarkE4Planarity(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	var last exp.DeltaRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E4Planarity(rng, 2048, 32)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, 5)
-	b.ReportMetric(float64(last.RotationBits), "rotation-bits")
-}
-
-func BenchmarkE5SeriesParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E5SeriesParallel(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
-}
-
-func BenchmarkE6Treewidth2(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	var last exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		row, err := exp.E6Treewidth2(rng, benchN)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !row.Accepted {
-			b.Fatal("rejected")
-		}
-		last = row
-	}
-	reportSize(b, last.Bits, last.Rounds)
+	return row
 }
 
 func BenchmarkE7LowerBound(b *testing.B) {
@@ -143,7 +85,8 @@ func BenchmarkE8LRSort(b *testing.B) {
 		}
 		last = row
 	}
-	reportSize(b, last.Bits, last.Rounds)
+	b.ReportMetric(float64(last.Bits), "proof-bits")
+	b.ReportMetric(float64(last.Rounds), "rounds")
 }
 
 func BenchmarkE9SpanTree(b *testing.B) {
@@ -172,26 +115,6 @@ func BenchmarkE10Multiset(b *testing.B) {
 	}
 	b.ReportMetric(last.Rate, "accept-rate")
 	b.ReportMetric(last.Bound, "bound")
-}
-
-func BenchmarkE11Separation(b *testing.B) {
-	// The headline: DIP vs PLS proof size on the same instances; the
-	// interesting number is the ratio of *growth* across a 256x size jump.
-	rng := rand.New(rand.NewSource(11))
-	var small, big exp.SizeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		small, err = exp.E1PathOuterplanarity(rng, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		big, err = exp.E1PathOuterplanarity(rng, 65536)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(big.Bits-small.Bits), "dip-growth-bits")
-	b.ReportMetric(float64(big.BaselineBits-small.BaselineBits), "pls-growth-bits")
 }
 
 func BenchmarkAblationSoundnessExponent(b *testing.B) {

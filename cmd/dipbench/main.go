@@ -15,18 +15,11 @@
 //	                 contention profiles work in every mode, including
 //	                 -scaling, which is where lock contention between
 //	                 pool workers would show up)
-//	-hotpath FILE    run only the engine hot-path + service throughput
-//	                 benchmarks and merge the numbers into FILE
-//	                 (BENCH_dip.json); the first measurement of each row
-//	                 freezes its baseline, later writes replace the
-//	                 current value; a run at a different GOMAXPROCS than
-//	                 the baseline is refused unless -force is given
 //	-scaling FILE    run the n × GOMAXPROCS scaling table (builder-built
 //	                 grids certified through the orchestrated engine at
 //	                 n ∈ {10^4,10^5,10^6} × P ∈ {1,2,4,NumCPU}; -quick
-//	                 drops the 10^6 tier) and merge the rows, including
-//	                 the computed speedup column, into FILE alongside
-//	                 the hot-path numbers
+//	                 drops the 10^6 tier) and write the rows, including
+//	                 the computed speedup column, to FILE
 //	-assert-speedup X  with -scaling: exit nonzero unless, for every n,
 //	                 ns/op at the highest P is <= X × ns/op at P=1 (the
 //	                 CI "parallel is not slower" smoke; use ~1.2 to
@@ -68,25 +61,16 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write heap profile to file")
 	mutexProfile := flag.String("mutexprofile", "", "write mutex-contention profile to file at exit")
 	blockProfile := flag.String("blockprofile", "", "write blocking profile to file at exit")
-	hotPath := flag.String("hotpath", "", "run only the hot-path benchmarks and merge numbers into this JSON file")
-	scaling := flag.String("scaling", "", "run only the n × GOMAXPROCS scaling table and merge rows into this JSON file")
+	scaling := flag.String("scaling", "", "run only the n × GOMAXPROCS scaling table and write its rows to this JSON file")
 	assertSpeedup := flag.Float64("assert-speedup", 0, "with -scaling: fail unless ns/op at the highest GOMAXPROCS <= NumCPU is <= this factor × serial ns/op for every n")
-	force := flag.Bool("force", false, "with -hotpath/-scaling: overwrite current even when GOMAXPROCS differs from the baseline")
 	soundnessSweep := flag.Bool("soundness", false, "run only the Monte-Carlo soundness estimator sweep (E-S)")
 	flag.Parse()
 	// Contention profiling is mode-independent: it arms the runtime's
 	// mutex/block samplers before any workload runs and flushes at exit,
 	// so `-scaling -mutexprofile ...` profiles exactly the pool workers.
 	defer writeContentionProfiles(*mutexProfile, *blockProfile)()
-	if *hotPath != "" {
-		if err := runHotPath(*hotPath, *jsonOut, *force); err != nil {
-			fmt.Fprintln(os.Stderr, "dipbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *scaling != "" {
-		if err := runScaling(*scaling, *quick, *jsonOut, *force, *assertSpeedup); err != nil {
+		if err := runScaling(*scaling, *quick, *jsonOut, *assertSpeedup); err != nil {
 			fmt.Fprintln(os.Stderr, "dipbench:", err)
 			os.Exit(1)
 		}
@@ -137,41 +121,13 @@ func writeContentionProfiles(mutexFile, blockFile string) func() {
 	}
 }
 
-// runHotPath measures the engine hot paths and the service request path
-// (the workloads behind BenchmarkRunnerHotPath / BenchmarkServeThroughput)
-// and merges the numbers into file, preserving the first-ever snapshot as
-// the baseline so the file always holds the before/after pair.
-func runHotPath(file string, jsonOut, force bool) error {
-	results, err := benchkit.HotPath()
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		for _, r := range results {
-			if err := enc.Encode(map[string]any{
-				"type": "hotpath_bench", "name": r.Name, "iterations": r.Iterations,
-				"ns_per_op": r.NsPerOp, "bytes_per_op": r.BytesPerOp, "allocs_per_op": r.AllocsPerOp,
-			}); err != nil {
-				return err
-			}
-		}
-	} else {
-		fmt.Printf("%-28s %10s %14s %14s %14s\n", "benchmark", "iters", "ns/op", "B/op", "allocs/op")
-		for _, r := range results {
-			fmt.Printf("%-28s %10d %14d %14d %14d\n", r.Name, r.Iterations, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-	}
-	return benchkit.WriteFile(file, "cmd/dipbench -hotpath", results, force)
-}
-
 // runScaling measures the streaming bulk pipeline end to end: per grid
 // size, one Builder-built instance frozen exactly once, certified by
 // the orchestrated engine at each GOMAXPROCS column, and the rows
-// merged into the bench file next to the hot-path numbers. With
-// -assert-speedup it doubles as the CI smoke that parallel execution
-// never loses to serial beyond the given tolerance.
-func runScaling(file string, quick, jsonOut, force bool, assertSpeedup float64) error {
+// written to the bench file. With -assert-speedup it doubles as the CI
+// smoke that parallel execution never loses to serial beyond the given
+// tolerance.
+func runScaling(file string, quick, jsonOut bool, assertSpeedup float64) error {
 	results, err := benchkit.Scaling(benchkit.ScalingSizes(quick), benchkit.ScalingProcs())
 	if err != nil {
 		return err
@@ -196,7 +152,7 @@ func runScaling(file string, quick, jsonOut, force bool, assertSpeedup float64) 
 		}
 	}
 	note := fmt.Sprintf("cmd/dipbench -scaling (NumCPU=%d)", runtime.NumCPU())
-	if err := benchkit.WriteFile(file, note, results, force); err != nil {
+	if err := benchkit.WriteFile(file, note, results); err != nil {
 		return err
 	}
 	if assertSpeedup > 0 {
@@ -398,17 +354,8 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 		}
 		for _, n := range sizes {
 			cs := childSeed(seed, d.Suite, n)
-			spec := gen.FamilySpec{Family: d.Family, N: n, ChordProb: -1}
-			g, pos, rot, err := spec.BuildWitnessed(rand.New(rand.NewSource(cs)))
-			if err != nil {
-				return fmt.Errorf("%s n=%d: %w", name, n, err)
-			}
-			inst := &protocol.Instance{G: g, PathPos: pos, Rotation: rot}
-			bound := d.ProofSizeBound(g.N(), g.MaxDegree())
 			collect, opts := b.tracedOpts()
-			start := time.Now()
-			out, err := d.Run(context.Background(), inst, cs, opts...)
-			wall := time.Since(start)
+			row, err := exp.Protocol(d, gen.FamilySpec{Family: d.Family, N: n, ChordProb: -1}, cs, opts...)
 			if err != nil {
 				return fmt.Errorf("%s n=%d: %w", name, n, err)
 			}
@@ -418,13 +365,13 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 					"suite":      d.Suite,
 					"name":       name,
 					"protocol":   d.Name,
-					"n":          g.N(),
+					"n":          row.N,
 					"seed":       cs,
-					"rounds":     out.Rounds,
-					"proof_bits": out.ProofSizeBits,
-					"bound_bits": bound,
-					"accepted":   out.Accepted,
-					"wall_ns":    wall.Nanoseconds(),
+					"rounds":     row.Rounds,
+					"proof_bits": row.Bits,
+					"bound_bits": row.BoundBits,
+					"accepted":   row.Accepted,
+					"wall_ns":    row.Wall.Nanoseconds(),
 					"runs":       runMetricsJSON(collect.Runs()),
 				}); err != nil {
 					return err
@@ -432,10 +379,10 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 				continue
 			}
 			verdict := "accept"
-			if !out.Accepted {
+			if !row.Accepted {
 				verdict = "REJECT"
 			}
-			fmt.Printf("%10d %8d %12d %12d %10s %12s\n", g.N(), out.Rounds, out.ProofSizeBits, bound, verdict, wall.Round(time.Millisecond))
+			fmt.Printf("%10d %8d %12d %12d %10s %12s\n", row.N, row.Rounds, row.Bits, row.BoundBits, verdict, row.Wall.Round(time.Millisecond))
 		}
 	}
 
@@ -449,9 +396,7 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 		cs := childSeed(seed, "E8", n)
 		rng := rand.New(rand.NewSource(cs))
 		collect, opts := b.tracedOpts()
-		start := time.Now()
 		row, err := exp.E8LRSort(rng, n, opts...)
-		wall := time.Since(start)
 		if err != nil {
 			return fmt.Errorf("E8 n=%d: %w", n, err)
 		}
@@ -459,7 +404,7 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 			if err := b.row(map[string]any{
 				"type": "sweep_point", "suite": "E8", "name": "E8 LR-sorting (Lemma 4.1)",
 				"n": row.N, "seed": cs, "rounds": row.Rounds, "proof_bits": row.Bits,
-				"accepted": row.Accepted, "wall_ns": wall.Nanoseconds(),
+				"accepted": row.Accepted, "wall_ns": row.Wall.Nanoseconds(),
 				"runs": runMetricsJSON(collect.Runs()),
 			}); err != nil {
 				return err
@@ -470,29 +415,30 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 		if !row.Accepted {
 			verdict = "REJECT"
 		}
-		fmt.Printf("%10d %8d %12d %10s %12s\n", row.N, row.Rounds, row.Bits, verdict, wall.Round(time.Millisecond))
+		fmt.Printf("%10d %8d %12d %10s %12s\n", row.N, row.Rounds, row.Bits, verdict, row.Wall.Round(time.Millisecond))
 	}
 
 	if !jsonOut {
 		fmt.Printf("\n== E4 planarity, Δ sweep at n ≈ 2048 (Thm 1.5) ==\n")
 		fmt.Printf("%8s %10s %12s %16s %10s\n", "Δ", "n", "proof bits", "rotation bits", "verdict")
 	}
-	for _, d := range deltas {
-		cs := childSeed(seed, "E4", d)
-		rng := rand.New(rand.NewSource(cs))
+	planarity, ok := protocol.Get("planarity")
+	if !ok {
+		return fmt.Errorf("E4: planarity is not registered")
+	}
+	for _, delta := range deltas {
+		cs := childSeed(seed, "E4", delta)
 		collect, opts := b.tracedOpts()
-		start := time.Now()
-		row, err := exp.E4Planarity(rng, 2048, d, opts...)
-		wall := time.Since(start)
+		row, err := exp.Protocol(planarity, gen.FamilySpec{Family: "fanchain", N: 2048, Delta: delta}, cs, opts...)
 		if err != nil {
-			return fmt.Errorf("E4 delta=%d: %w", d, err)
+			return fmt.Errorf("E4 delta=%d: %w", delta, err)
 		}
 		if jsonOut {
 			if err := b.row(map[string]any{
 				"type": "sweep_point", "suite": "E4", "name": "E4 planarity Δ-sweep (Thm 1.5)",
-				"n": row.N, "delta": row.Delta, "seed": cs,
+				"n": row.N, "delta": delta, "seed": cs,
 				"proof_bits": row.Bits, "rotation_bits": row.RotationBits,
-				"accepted": row.Accepted, "wall_ns": wall.Nanoseconds(),
+				"accepted": row.Accepted, "wall_ns": row.Wall.Nanoseconds(),
 				"runs": runMetricsJSON(collect.Runs()),
 			}); err != nil {
 				return err
@@ -503,7 +449,7 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 		if !row.Accepted {
 			verdict = "REJECT"
 		}
-		fmt.Printf("%8d %10d %12d %16d %10s\n", row.Delta, row.N, row.Bits, row.RotationBits, verdict)
+		fmt.Printf("%8d %10d %12d %16d %10s\n", delta, row.N, row.Bits, row.RotationBits, verdict)
 	}
 
 	if !jsonOut {
@@ -600,32 +546,6 @@ func run(quick bool, seed int64, jsonOut bool, traceFile, cpuProfile, memProfile
 			continue
 		}
 		fmt.Printf("%4d %10d %12d %8d %14.4f %12.6f\n", row.C, row.FieldP0, row.ProofBits, row.Runs, row.Rate, row.Bound)
-	}
-
-	runs := 40
-	if quick {
-		runs = 10
-	}
-	advSeed := childSeed(seed, "soundness-suite", 64)
-	rows, err := exp.SoundnessSuite(rand.New(rand.NewSource(advSeed)), 64, runs)
-	if err != nil {
-		return err
-	}
-	if !jsonOut {
-		fmt.Printf("\n== Adversarial soundness suite (n = 64, %d runs each) ==\n", runs)
-		fmt.Printf("%-36s %8s %10s %12s\n", "attack", "runs", "accepts", "accept rate")
-	}
-	for _, r := range rows {
-		if jsonOut {
-			if err := b.row(map[string]any{
-				"type": "soundness", "suite": "adversary", "name": r.Name, "seed": advSeed,
-				"runs": r.Runs, "accepts": r.Accepts, "accept_rate": r.Rate,
-			}); err != nil {
-				return err
-			}
-			continue
-		}
-		fmt.Printf("%-36s %8d %10d %12.4f\n", r.Name, r.Runs, r.Accepts, r.Rate)
 	}
 
 	// Terminal summary row: the metrics-registry counters accumulated by

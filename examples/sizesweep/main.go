@@ -14,34 +14,43 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/exp"
+	"repro/internal/gen"
+	"repro/internal/protocol"
 )
 
 func main() {
-	rng := rand.New(rand.NewSource(5))
+	dipProto, _ := protocol.Get("pathouter")
+	plsProto, _ := protocol.Get("pls")
 	sizes := []int{64, 256, 1024, 4096, 16384, 65536, 262144}
 
 	fmt.Println("Theorem 1.2 DIP vs. 1-round PLS baseline (path-outerplanarity)")
 	fmt.Println()
 	fmt.Printf("%10s %14s %14s %18s %18s\n", "n", "DIP bits", "PLS bits", "DIP Δbits/×4", "PLS Δbits/×4")
-	var prev exp.SizeRow
+	var prevDIP, prevPLS exp.SizeRow
 	for i, n := range sizes {
-		row, err := exp.E1PathOuterplanarity(rng, n)
+		// The same (spec, seed) builds the same instance for both
+		// protocols, so each row compares them on one shared instance.
+		spec := gen.FamilySpec{Family: "pathouter", N: n, ChordProb: -1}
+		dipRow, err := exp.Protocol(dipProto, spec, 5)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !row.Accepted {
+		plsRow, err := exp.Protocol(plsProto, spec, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !dipRow.Accepted || !plsRow.Accepted {
 			log.Fatalf("n=%d rejected", n)
 		}
 		dipDelta, plsDelta := "-", "-"
 		if i > 0 {
-			dipDelta = fmt.Sprint(row.Bits - prev.Bits)
-			plsDelta = fmt.Sprint(row.BaselineBits - prev.BaselineBits)
+			dipDelta = fmt.Sprint(dipRow.Bits - prevDIP.Bits)
+			plsDelta = fmt.Sprint(plsRow.Bits - prevPLS.Bits)
 		}
-		fmt.Printf("%10d %14d %14d %18s %18s\n", row.N, row.Bits, row.BaselineBits, dipDelta, plsDelta)
-		prev = row
+		fmt.Printf("%10d %14d %14d %18s %18s\n", dipRow.N, dipRow.Bits, plsRow.Bits, dipDelta, plsDelta)
+		prevDIP, prevPLS = dipRow, plsRow
 	}
 	fmt.Println()
 	fmt.Println("the PLS column grows by a fixed ~6 bits per 4x (linear in log n);")

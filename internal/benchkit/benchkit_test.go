@@ -21,68 +21,28 @@ func readFile(t *testing.T, path string) File {
 	return doc
 }
 
-// TestWriteFileFreezesBaseline: first write becomes both baseline and
-// current; a second write keeps the original baseline.
-func TestWriteFileFreezesBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_dip.json")
-	first := []Result{{Name: "A", Iterations: 1, NsPerOp: 100}}
-	if err := WriteFile(path, "first", first, false); err != nil {
+// TestWriteFileReplacesCurrent: every write leaves exactly its own run
+// under current, with no rows carried over from an earlier write.
+func TestWriteFileReplacesCurrent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scaling.json")
+	first := []Result{{Name: "A", Iterations: 1, NsPerOp: 100}, {Name: "B", Iterations: 1, NsPerOp: 5}}
+	if err := WriteFile(path, "first", first); err != nil {
 		t.Fatal(err)
 	}
 	doc := readFile(t, path)
-	if doc.Baseline == nil || doc.Baseline.Note != "first" || doc.Current.Note != "first" {
+	if doc.Schema != schema || doc.Current == nil || doc.Current.Note != "first" || len(doc.Current.Results) != 2 {
 		t.Fatalf("first write: %+v", doc)
 	}
-	if doc.Baseline.GOMAXPROCS != runtime.GOMAXPROCS(0) {
-		t.Fatalf("baseline gomaxprocs = %d, want %d", doc.Baseline.GOMAXPROCS, runtime.GOMAXPROCS(0))
+	if doc.Current.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Fatalf("gomaxprocs = %d, want %d", doc.Current.GOMAXPROCS, runtime.GOMAXPROCS(0))
 	}
 
 	second := []Result{{Name: "A", Iterations: 1, NsPerOp: 90}}
-	if err := WriteFile(path, "second", second, false); err != nil {
+	if err := WriteFile(path, "second", second); err != nil {
 		t.Fatal(err)
 	}
 	doc = readFile(t, path)
-	if doc.Baseline.Note != "first" || doc.Current.Note != "second" {
-		t.Fatalf("second write did not preserve baseline: baseline=%q current=%q",
-			doc.Baseline.Note, doc.Current.Note)
-	}
-	if len(doc.Current.Results) != 1 || doc.Current.Results[0].NsPerOp != 90 {
-		t.Fatalf("current results: %+v", doc.Current.Results)
-	}
-}
-
-// TestWriteFileRefusesGOMAXPROCSMismatch: a baseline measured at a
-// different GOMAXPROCS blocks the overwrite unless force is set.
-func TestWriteFileRefusesGOMAXPROCSMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_dip.json")
-	mismatched := &Snapshot{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0) + 1,
-		Note:       "other-machine",
-		Results:    []Result{{Name: "A", NsPerOp: 100}},
-	}
-	raw, err := json.MarshalIndent(File{Schema: "bench_dip/v1", Baseline: mismatched, Current: mismatched}, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	res := []Result{{Name: "A", NsPerOp: 90}}
-	if err := WriteFile(path, "local", res, false); err == nil {
-		t.Fatal("WriteFile accepted a GOMAXPROCS mismatch without force")
-	}
-	// The refused write must not have clobbered the file.
-	if doc := readFile(t, path); doc.Current.Note != "other-machine" {
-		t.Fatalf("refused write still modified the file: %+v", doc.Current)
-	}
-
-	if err := WriteFile(path, "local", res, true); err != nil {
-		t.Fatalf("force write failed: %v", err)
-	}
-	doc := readFile(t, path)
-	if doc.Current.Note != "local" || doc.Baseline.Note != "other-machine" {
-		t.Fatalf("force write: baseline=%q current=%q", doc.Baseline.Note, doc.Current.Note)
+	if doc.Current.Note != "second" || len(doc.Current.Results) != 1 || doc.Current.Results[0].NsPerOp != 90 {
+		t.Fatalf("second write: %+v", doc.Current)
 	}
 }

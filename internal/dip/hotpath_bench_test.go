@@ -90,6 +90,8 @@ func BenchmarkRunnerHotPath(b *testing.B) {
 
 // BenchmarkChannelHotPath is the same workload on the message-passing
 // engine (per-node goroutines, per-round deliveries).
+// That engine is the reference for the cross-engine fingerprint tests
+// (DESIGN.md §9); its time is not a tracked performance number.
 func BenchmarkChannelHotPath(b *testing.B) {
 	inst, prover := hotPathFixture(100, 100, 3)
 	cr := NewChannelRunner(inst)

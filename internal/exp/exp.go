@@ -1,28 +1,26 @@
-// Package exp implements the experiment suite of EXPERIMENTS.md: one
-// function per paper claim (E1–E11), shared by the root benchmarks and
-// the cmd/dipbench table generator.
+// Package exp implements the experiment suite of EXPERIMENTS.md,
+// shared by the root benchmarks, cmd/dipbench and examples/sizesweep.
+// Every registered protocol's experiment (E1–E6, E11, the E4 Δ sweep)
+// runs through one registry path, Protocol; the functions here cover
+// what is not a registered protocol: the LR-sorting subroutine (E8),
+// the lower bound (E7), the Lemma 2.5/2.6 soundness sweeps (E9, E10)
+// and the soundness-exponent ablation.
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/dip"
-	"repro/internal/embedding"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/lowerbound"
 	"repro/internal/lrsort"
 	"repro/internal/multiset"
-	"repro/internal/outerplanar"
-	"repro/internal/pathouter"
-	"repro/internal/planar"
-	"repro/internal/planarity"
-	"repro/internal/pls"
-	"repro/internal/seriesparallel"
+	"repro/internal/protocol"
 	"repro/internal/spantree"
-	"repro/internal/treewidth2"
-
-	"repro/internal/graph"
 )
 
 // SizeRow is one point of a proof-size sweep.
@@ -30,99 +28,35 @@ type SizeRow struct {
 	N            int
 	Rounds       int
 	Bits         int // DIP proof size (max label bits)
-	BaselineBits int // Θ(log n) PLS baseline where applicable (0 = n/a)
+	BoundBits    int // the descriptor's declared bound at (n, Δ); 0 for E8
+	RotationBits int // planarity's additive O(log Δ) shipping term
 	Accepted     bool
+	Wall         time.Duration // the protocol run alone, instance build excluded
 }
 
-// E1PathOuterplanarity measures Theorem 1.2 at size n, with the PLS
-// baseline of [FFM+21] measured on the same instance.
-func E1PathOuterplanarity(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.PathOuterplanar(rng, n, 0.5)
-	p, err := pathouter.NewParams(n)
+// Protocol is the one registry path of the experiment suite: it builds
+// spec's witnessed instance from seed and runs d on it with verifier
+// randomness from the same seed. Equal (spec, seed) pairs build the
+// same instance, so two descriptors called with them are measured on
+// one instance (E11's DIP-vs-PLS comparison).
+func Protocol(d *protocol.Descriptor, spec gen.FamilySpec, seed int64, opts ...dip.RunOption) (SizeRow, error) {
+	g, pos, rot, err := spec.BuildWitnessed(rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return SizeRow{}, err
 	}
-	inst := &pathouter.Instance{G: gi.G, Pos: gi.Pos}
-	di := dip.NewInstance(gi.G)
-	res, err := pathouter.Protocol(inst, p).RunOnce(di, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	bp := pls.NewParams(n)
-	bres, err := pls.Protocol(gi.G, gi.Pos, bp).RunOnce(dip.NewInstance(gi.G), rng, dip.NewRunConfig(opts...).Child("pls-baseline")...)
+	start := time.Now()
+	out, err := d.Run(context.Background(), &protocol.Instance{G: g, PathPos: pos, Rotation: rot}, seed, opts...)
 	if err != nil {
 		return SizeRow{}, err
 	}
 	return SizeRow{
-		N: n, Rounds: 5,
-		Bits:         res.Stats.MaxLabelBits,
-		BaselineBits: bres.Stats.MaxLabelBits,
-		Accepted:     res.Accepted && bres.Accepted,
+		N: g.N(), Rounds: out.Rounds,
+		Bits:         out.ProofSizeBits,
+		BoundBits:    d.ProofSizeBound(g.N(), g.MaxDegree()),
+		RotationBits: out.RotationBits,
+		Accepted:     out.Accepted,
+		Wall:         time.Since(start),
 	}, nil
-}
-
-// E2Outerplanarity measures Theorem 1.3 at size n.
-func E2Outerplanarity(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Outerplanar(rng, n, 0.4)
-	res, err := outerplanar.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
-// E3Embedding measures Theorem 1.4 at size n on random triangulations.
-func E3Embedding(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Triangulation(rng, n)
-	res, err := embedding.Run(gi.G, gi.Rot, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
-// DeltaRow is one point of the Theorem 1.5 Δ-sweep.
-type DeltaRow struct {
-	N            int
-	Delta        int
-	Bits         int
-	RotationBits int // the additive O(log Δ) shipping term
-	Accepted     bool
-}
-
-// E4Planarity measures Theorem 1.5 at fixed n and maximum degree delta.
-func E4Planarity(rng *rand.Rand, n, delta int, opts ...dip.RunOption) (DeltaRow, error) {
-	gi := gen.FanChain(rng, n, delta)
-	res, err := planarity.Run(gi.G, gi.Rot, rng, opts...)
-	if err != nil {
-		return DeltaRow{}, err
-	}
-	return DeltaRow{
-		N: gi.G.N(), Delta: delta,
-		Bits:         res.ProofSizeBits,
-		RotationBits: res.RotationBits,
-		Accepted:     res.Accepted,
-	}, nil
-}
-
-// E5SeriesParallel measures Theorem 1.6 at size n.
-func E5SeriesParallel(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.SeriesParallel(rng, n)
-	res, err := seriesparallel.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: gi.G.N(), Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
-}
-
-// E6Treewidth2 measures Theorem 1.7 at size n.
-func E6Treewidth2(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
-	gi := gen.Treewidth2(rng, n)
-	res, err := treewidth2.Run(gi.G, nil, rng, opts...)
-	if err != nil {
-		return SizeRow{}, err
-	}
-	return SizeRow{N: n, Rounds: res.Rounds, Bits: res.ProofSizeBits, Accepted: res.Accepted}, nil
 }
 
 // ThresholdRow is one point of the Theorem 1.8 lower-bound sweep.
@@ -155,11 +89,12 @@ func E8LRSort(rng *rand.Rand, n int, opts ...dip.RunOption) (SizeRow, error) {
 		return SizeRow{}, err
 	}
 	di := lrsort.NewDIPInstance(inst)
+	start := time.Now()
 	res, err := lrsort.Protocol(inst, p).RunOnce(di, rng, opts...)
 	if err != nil {
 		return SizeRow{}, err
 	}
-	return SizeRow{N: n, Rounds: 5, Bits: res.Stats.MaxLabelBits, Accepted: res.Accepted}, nil
+	return SizeRow{N: n, Rounds: res.Stats.Rounds, Bits: res.Stats.MaxLabelBits, Accepted: res.Accepted, Wall: time.Since(start)}, nil
 }
 
 func lrSortYes(rng *rand.Rand, n, extra int) *lrsort.Instance {
@@ -264,91 +199,6 @@ func E10Multiset(rng *rand.Rand, k int, runs int) (SoundnessRow, error) {
 		Bound:     float64(k) / float64(p.F.P),
 		ProofBits: tr.MaxLabelBits,
 	}, nil
-}
-
-// AdversaryRow is one adversarial-prover measurement.
-type AdversaryRow struct {
-	Name    string
-	Runs    int
-	Accepts int
-	Rate    float64
-}
-
-// SoundnessSuite runs the adversarial-prover suite at size n:
-// honest-strategy provers on no-instances of each family.
-func SoundnessSuite(rng *rand.Rand, n, runs int) ([]AdversaryRow, error) {
-	var rows []AdversaryRow
-
-	// Path-outerplanarity: planted K4.
-	accepts := 0
-	for i := 0; i < runs; i++ {
-		gi := gen.PathOuterplanar(rng, n, 0.4)
-		bad := gen.WithEmbeddedK4(rng, gi)
-		p, err := pathouter.NewParams(n)
-		if err != nil {
-			return nil, err
-		}
-		inst := &pathouter.Instance{G: bad, Pos: gi.Pos}
-		res, err := pathouter.Protocol(inst, p).RunOnce(dip.NewInstance(bad), rng)
-		if err == nil && res.Accepted {
-			accepts++
-		}
-	}
-	rows = append(rows, AdversaryRow{"path-outer: planted K4", runs, accepts, float64(accepts) / float64(runs)})
-
-	// Embedding: twisted rotations.
-	accepts = 0
-	for i := 0; i < runs; i++ {
-		gi := gen.Triangulation(rng, n)
-		twisted, err := gen.TwistRotation(rng, gi)
-		if err != nil {
-			continue
-		}
-		res, err := embedding.Run(gi.G, twisted, rng)
-		if err == nil && res.Accepted {
-			accepts++
-		}
-	}
-	rows = append(rows, AdversaryRow{"embedding: twisted rotation", runs, accepts, float64(accepts) / float64(runs)})
-
-	// Planarity: K5 subdivision with a random forged rotation.
-	accepts = 0
-	for i := 0; i < runs; i++ {
-		k5 := gen.K5Subdivision(rng, n)
-		res, err := planarity.Run(k5, randomRotation(rng, k5), rng)
-		if err == nil && res.Accepted {
-			accepts++
-		}
-	}
-	rows = append(rows, AdversaryRow{"planarity: K5 subdivision", runs, accepts, float64(accepts) / float64(runs)})
-
-	// Treewidth 2: K4 block.
-	accepts = 0
-	for i := 0; i < runs; i++ {
-		k4 := gen.K4Subdivision(rng, n)
-		res, err := treewidth2.Run(k4, nil, rng)
-		if err == nil && res.Accepted {
-			accepts++
-		}
-	}
-	rows = append(rows, AdversaryRow{"treewidth2: K4 subdivision", runs, accepts, float64(accepts) / float64(runs)})
-
-	return rows, nil
-}
-
-// randomRotation shuffles each adjacency list: the strongest naive
-// forged-embedding strategy for a non-planar instance.
-func randomRotation(rng *rand.Rand, g *graph.Graph) *planar.Rotation {
-	rot := make([][]int, g.N())
-	for v := 0; v < g.N(); v++ {
-		rot[v] = append([]int(nil), g.Neighbors(v)...)
-		rng.Shuffle(len(rot[v]), func(i, j int) { rot[v][i], rot[v][j] = rot[v][j], rot[v][i] })
-	}
-	r, err := planar.NewRotation(g, rot)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // AblationRow is one point of the soundness-exponent ablation: the

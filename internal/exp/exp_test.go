@@ -4,51 +4,57 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dip"
+	"repro/internal/gen"
+	"repro/internal/protocol"
 )
 
+// TestSizeExperimentsAcceptSmall: every registered protocol, run
+// through the registry path on its own family, and the E8 LR-sorting
+// subroutine accept at n=128 within their declared rounds and bound.
 func TestSizeExperimentsAcceptSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	tests := []struct {
-		name string
-		f    func(*rand.Rand, int, ...dip.RunOption) (SizeRow, error)
-	}{
-		{"E1", E1PathOuterplanarity},
-		{"E2", E2Outerplanarity},
-		{"E3", E3Embedding},
-		{"E5", E5SeriesParallel},
-		{"E6", E6Treewidth2},
-		{"E8", E8LRSort},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			row, err := tt.f(rng, 128)
+	for _, d := range protocol.All() {
+		t.Run(d.Suite, func(t *testing.T) {
+			row, err := Protocol(d, gen.FamilySpec{Family: d.Family, N: 128, ChordProb: -1}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !row.Accepted {
-				t.Fatalf("%s rejected at n=128", tt.name)
+				t.Fatalf("%s rejected at n=128", d.Name)
 			}
-			if row.Rounds != 5 {
-				t.Fatalf("%s rounds = %d", tt.name, row.Rounds)
+			if row.Rounds != d.Rounds {
+				t.Fatalf("%s rounds = %d, declared %d", d.Name, row.Rounds, d.Rounds)
 			}
-			if row.Bits <= 0 {
-				t.Fatalf("%s no proof size", tt.name)
+			if row.Bits <= 0 || row.Bits > row.BoundBits {
+				t.Fatalf("%s proof size %d outside (0, %d]", d.Name, row.Bits, row.BoundBits)
 			}
 		})
 	}
+	t.Run("E8", func(t *testing.T) {
+		row, err := E8LRSort(rand.New(rand.NewSource(1)), 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !row.Accepted || row.Rounds != 5 || row.Bits <= 0 {
+			t.Fatalf("E8 at n=128: %+v", row)
+		}
+	})
 }
 
+// TestE4DeltaMonotonicity: the Δ sweep reads planarity's additive
+// rotation term off the registry outcome, and it grows with Δ.
 func TestE4DeltaMonotonicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	d, ok := protocol.Get("planarity")
+	if !ok {
+		t.Fatal("planarity not registered")
+	}
 	prev := 0
-	for _, d := range []int{4, 16, 64} {
-		row, err := E4Planarity(rng, 512, d)
+	for _, delta := range []int{4, 16, 64} {
+		row, err := Protocol(d, gen.FamilySpec{Family: "fanchain", N: 512, Delta: delta}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !row.Accepted {
-			t.Fatalf("delta=%d rejected", d)
+			t.Fatalf("delta=%d rejected", delta)
 		}
 		if row.RotationBits <= prev {
 			t.Fatalf("rotation bits not increasing: %d then %d", prev, row.RotationBits)
@@ -100,21 +106,5 @@ func TestAblationTradeoff(t *testing.T) {
 	}
 	if r4.Bound >= r1.Bound {
 		t.Fatalf("higher exponent should tighten the bound: %.6f vs %.6f", r1.Bound, r4.Bound)
-	}
-}
-
-func TestSoundnessSuiteAllRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows, err := SoundnessSuite(rng, 48, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Accepts != 0 {
-			t.Fatalf("%s accepted %d times", r.Name, r.Accepts)
-		}
 	}
 }

@@ -95,6 +95,33 @@ func TestEstimateQuick(t *testing.T) {
 	}
 }
 
+// TestEstimateHonestRegistryWide: with the honest strategy, every
+// registered protocol rejects every run on its matched no-family and
+// none on its yes-family. The matched families are deterministic
+// no-instances, so the cells must be exact, not merely above a rate.
+func TestEstimateHonestRegistryWide(t *testing.T) {
+	rows, err := Estimate(context.Background(), Config{
+		Strategies: []string{chaos.Honest},
+		Sizes:      []int{48},
+		Runs:       4,
+		Seed:       5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * len(protocol.Names()); len(rows) != want {
+		t.Fatalf("got %d rows, want %d (one completeness and one soundness cell per protocol)", len(rows), want)
+	}
+	for _, r := range rows {
+		switch {
+		case r.Kind == "completeness" && r.Rejects != 0:
+			t.Errorf("%s completeness on %s: %d of %d runs rejected", r.Protocol, r.Family, r.Rejects, r.Runs)
+		case r.Kind == "soundness" && r.Rejects != r.Runs:
+			t.Errorf("%s soundness on %s: %d of %d runs rejected", r.Protocol, r.Family, r.Rejects, r.Runs)
+		}
+	}
+}
+
 // TestEstimateDeterministic pins reproducibility: two sweeps with the
 // same config produce identical rows.
 func TestEstimateDeterministic(t *testing.T) {
