@@ -130,7 +130,7 @@ func TestCompositeNestingSpans(t *testing.T) {
 	if _, err := proto.RunOnce(dip.NewInstance(gi.G), rand.New(rand.NewSource(2)), cfg.Child("stage-b")...); err != nil {
 		t.Fatal(err)
 	}
-	end(true, 0)
+	end(&dip.Outcome{Accepted: true})
 
 	runs := collect.Runs()
 	if len(runs) != 1 {

@@ -45,6 +45,45 @@ type Outcome struct {
 	NodeBits [][]int
 }
 
+// NodeBits is a composite's per-node per-round label table:
+// NodeBits[r][v] sums the bits node v carries in prover round r over the
+// sub-executions charged to it. Each composite applies its own charging
+// rule for deferred labels by indexing the table directly.
+type NodeBits [][]int
+
+// NewNodeBits returns a zero table of rounds rows over n nodes.
+func NewNodeBits(rounds, n int) NodeBits {
+	b := make(NodeBits, rounds)
+	for r := range b {
+		b[r] = make([]int, n)
+	}
+	return b
+}
+
+// Add charges a sub-execution that ran on the same nodes: rows[r][v]
+// goes to node v in round r. Rows past the table's last are dropped.
+func (b NodeBits) Add(rows [][]int) {
+	for r, row := range rows {
+		if r >= len(b) {
+			break
+		}
+		for v, bits := range row {
+			b[r][v] += bits
+		}
+	}
+}
+
+// Max returns the largest entry: the composite's proof size.
+func (b NodeBits) Max() int {
+	m := 0
+	for _, row := range b {
+		for _, bits := range row {
+			m = max(m, bits)
+		}
+	}
+	return m
+}
+
 // Reject records one rejection at the named stage and marks the
 // outcome rejected.
 func (o *Outcome) Reject(stage string) {

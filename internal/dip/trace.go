@@ -164,13 +164,14 @@ func (c *RunConfig) event(kind obs.EventKind, engine string) obs.Event {
 // (one that orchestrates nested engine executions and merges their
 // accounting): it emits RunStart now, tagged with protocol (unless the
 // config already carries a name), and returns the function that emits
-// the matching RunEnd. The returned close function must be called
-// exactly once on every path out of the composite, including failures
-// (pass accepted=false there), so that collectors keep their span
+// the matching RunEnd from the composite's outcome. The returned close
+// function must be called exactly once on every path out of the
+// composite, including failures (pass nil there: the span closes
+// rejected with no label bits), so that collectors keep their span
 // stacks balanced.
-func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int) func(accepted bool, maxLabelBits int) {
+func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int) func(res *Outcome) {
 	if c.Tracer == nil {
-		return func(bool, int) {}
+		return func(*Outcome) {}
 	}
 	if c.Protocol == "" {
 		c.Protocol = protocol
@@ -180,12 +181,14 @@ func (c RunConfig) CompositeSpan(protocol string, nodes, rounds int) func(accept
 	ev.Nodes = nodes
 	ev.Rounds = rounds
 	c.Tracer.Emit(ev)
-	return func(accepted bool, maxLabelBits int) {
+	return func(res *Outcome) {
 		end := c.event(obs.RunEnd, obs.EngineComposite)
 		end.Nodes = nodes
 		end.Rounds = rounds
-		end.Accepted = accepted
-		end.MaxLabelBits = maxLabelBits
+		if res != nil {
+			end.Accepted = res.Accepted
+			end.MaxLabelBits = res.ProofSizeBits
+		}
 		end.WallNS = time.Since(start).Nanoseconds()
 		c.Tracer.Emit(end)
 	}

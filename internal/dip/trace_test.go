@@ -119,10 +119,15 @@ func TestCompositeSpanBalancesOnFailure(t *testing.T) {
 	c := obs.NewCollect()
 	cfg := NewRunConfig(WithTracer(c))
 	end := cfg.CompositeSpan("comp", 4, 5)
-	end(false, 0)
+	end(nil)
 	runs := c.Runs()
-	if len(runs) != 1 || runs[0].Engine != obs.EngineComposite || runs[0].Accepted {
+	if len(runs) != 1 || runs[0].Engine != obs.EngineComposite || runs[0].Accepted || runs[0].MaxLabelBits != 0 {
 		t.Fatalf("composite span: %+v", runs)
+	}
+	end = cfg.CompositeSpan("comp", 4, 5)
+	end(&Outcome{Accepted: true, ProofSizeBits: 17})
+	if runs = c.Runs(); len(runs) != 2 || !runs[1].Accepted || runs[1].MaxLabelBits != 17 {
+		t.Fatalf("composite span from outcome: %+v", runs)
 	}
 }
 

@@ -40,13 +40,7 @@ func ProofSizeBound(n, delta int) int {
 func Run(g *graph.Graph, rot *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("embedding", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer func() { endRun(res) }()
 	res = &dip.Outcome{Rounds: Rounds}
 	n := g.N()
 	if n < 2 {
@@ -287,11 +281,7 @@ func nameEq(a, b pathouter.Name) bool {
 // its owner, plus each owner re-holds its boundary copies' path
 // neighbors, plus the spanning-tree stage bits.
 func mergeBits(g *graph.Graph, red *Reduction, stRes, hRes *dip.Result) int {
-	rounds := len(hRes.Stats.LabelBits)
-	merged := make([][]int, rounds)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
+	merged := dip.NewNodeBits(len(hRes.Stats.LabelBits), g.N())
 	// Copy bits to owners.
 	for r, row := range hRes.Stats.LabelBits {
 		for c, bits := range row {
@@ -321,18 +311,6 @@ func mergeBits(g *graph.Graph, red *Reduction, stRes, hRes *dip.Result) int {
 		}
 	}
 	// Spanning-tree stage bits (rounds align with the first two).
-	for r, row := range stRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
-	max := 0
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > max {
-				max = bits
-			}
-		}
-	}
-	return max
+	merged.Add(stRes.Stats.LabelBits)
+	return merged.Max()
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/blockcut"
+	"repro/internal/dip"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/planar"
@@ -119,14 +121,16 @@ func TestSoundnessCrossingChords(t *testing.T) {
 		total++
 		// Adversarial plan: single component, cycle-based path.
 		plan := &Plan{
-			Paths:    [][]int{gi.Cycle},
-			Home:     make([]int, n),
-			HomePos:  pos,
-			ParentF:  make([]int, n),
-			Root:     gi.Cycle[0],
-			RootComp: 0,
-			IsCut:    make([]bool, n),
-			IsLeader: make([]bool, n),
+			Witness: blockcut.Witness{
+				Home:     make([]int, n),
+				ParentF:  make([]int, n),
+				Root:     gi.Cycle[0],
+				RootComp: 0,
+				IsCut:    make([]bool, n),
+				IsLeader: make([]bool, n),
+			},
+			Paths:   [][]int{gi.Cycle},
+			HomePos: pos,
 		}
 		plan.IsLeader[gi.Cycle[0]] = true
 		plan.ParentF[gi.Cycle[0]] = -1
@@ -166,5 +170,65 @@ func TestProofSizeDoublyLogarithmic(t *testing.T) {
 	}
 	if sizes[2] >= 2*sizes[0] {
 		t.Fatalf("proof size growth too fast: %v", sizes)
+	}
+}
+
+// TestHomePathChecksRejectForgedPaths: witnesses that pass every check
+// of the shared block–cut stage but break a path-only condition must
+// be rejected at the named node by outerplanarity's structural stage.
+func TestHomePathChecksRejectForgedPaths(t *testing.T) {
+	cases := []struct {
+		name    string
+		edges   [][2]int
+		parentF []int
+		rejects int
+	}{
+		{
+			// The 4-cycle 0-1-2-3 with F branching at the root: 0 has
+			// the two home-path children 1 and 3.
+			name:    "home forest branches",
+			edges:   [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}},
+			parentF: []int{-1, 0, 1, 0},
+			rejects: 0,
+		},
+		{
+			// The path 0-1-2 claimed as one component: its last node 2
+			// is not adjacent to the separating node 0.
+			name:    "home path does not close",
+			edges:   [][2]int{{0, 1}, {1, 2}},
+			parentF: []int{-1, 0, 1},
+			rejects: 2,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.parentF)
+			g := graph.New(n)
+			for _, e := range tc.edges {
+				g.MustAddEdge(e[0], e[1])
+			}
+			plan := &Plan{Witness: blockcut.Witness{
+				ParentF:  tc.parentF,
+				Home:     make([]int, n),
+				IsCut:    make([]bool, n),
+				IsLeader: make([]bool, n),
+			}}
+			plan.IsLeader[0] = true
+			for seed := int64(1); seed <= 5; seed++ {
+				for _, check := range []blockcut.Check{nil, homePathChecks} {
+					res, err := blockcut.Protocol("outerplanar", g, blockcut.NewParams(n), &plan.Witness, plan.anchors(), check).
+						RunOnce(dip.NewInstance(g), rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if check == nil && !res.Accepted {
+						t.Fatalf("seed %d: shared stage rejected: %v", seed, res.NodeOutputs)
+					}
+					if check != nil && res.NodeOutputs[tc.rejects] {
+						t.Fatalf("seed %d: node %d accepted", seed, tc.rejects)
+					}
+				}
+			}
+		})
 	}
 }

@@ -18,6 +18,11 @@
 //     with the separating node's labels deferred to its component
 //     neighbors so that cut vertices carry O(log log n) bits total.
 //
+// Stages 1 and 2 are the block–cut stage of internal/blockcut, shared
+// with the treewidth-2 protocol; this package adds the two path-only
+// conditions (at most one home-path child per node, and the last node of
+// every home path adjacent to its separating node).
+//
 // The per-component executions run on derived sub-instances; their label
 // bits are merged back onto the real nodes under the paper's deferral
 // accounting (see DESIGN.md §4, implementation notes).
@@ -27,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/blockcut"
 	"repro/internal/graph"
 	"repro/internal/planar"
 )
@@ -34,23 +40,29 @@ import (
 // Plan is the prover's decomposition witness: one Hamiltonian path per
 // biconnected component, starting at the component's separating node.
 type Plan struct {
+	// Witness is what the block–cut structural stage commits: F is the
+	// union of the P_C, Home[v] is the component whose P'_C contains v
+	// (every vertex belongs to exactly one), and Root is the first node
+	// of the root component's path.
+	blockcut.Witness
 	// Paths[c] lists component c's path P_C; Paths[c][0] is the
 	// separating node (or the R-leader's predecessor-free start for the
 	// root component).
 	Paths [][]int
-	// Home[v] is the component whose P'_C contains v (every vertex
-	// belongs to exactly one).
-	Home []int
 	// HomePos[v] is v's index in Paths[Home[v]].
 	HomePos []int
-	// ParentF[v] is v's parent in the forest F = union of the P_C.
-	ParentF []int
-	// Root is the first node of the root component's path.
-	Root int
-	// RootComp is the index of the root component in Paths.
-	RootComp int
-	// IsCut/IsLeader flag cut vertices and component leaders.
-	IsCut, IsLeader []bool
+}
+
+// anchors gives every component's structural anchors: its separating
+// node and the leader that follows it on P_C.
+func (p *Plan) anchors() []blockcut.Anchor {
+	a := make([]blockcut.Anchor, len(p.Paths))
+	for c, path := range p.Paths {
+		if len(path) >= 2 {
+			a[c] = blockcut.Anchor{Sep: path[0], Lead: path[1]}
+		}
+	}
+	return a
 }
 
 // HonestPlan computes the decomposition for an outerplanar graph using
@@ -70,12 +82,14 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	nb := len(dec.Components)
 
 	p := &Plan{
-		Paths:    make([][]int, nb),
-		Home:     make([]int, n),
-		HomePos:  make([]int, n),
-		ParentF:  make([]int, n),
-		IsCut:    append([]bool(nil), dec.IsCut...),
-		IsLeader: make([]bool, n),
+		Witness: blockcut.Witness{
+			Home:     make([]int, n),
+			ParentF:  make([]int, n),
+			IsCut:    append([]bool(nil), dec.IsCut...),
+			IsLeader: make([]bool, n),
+		},
+		Paths:   make([][]int, nb),
+		HomePos: make([]int, n),
 	}
 	for v := range p.Home {
 		p.Home[v] = -1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/blockcut"
 	"repro/internal/dip"
 	"repro/internal/graph"
 	"repro/internal/pathouter"
@@ -40,13 +41,7 @@ func ProofSizeBound(n, delta int) int {
 func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("outerplanar", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer func() { endRun(res) }()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -55,11 +50,11 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			return res, nil
 		}
 	}
-	p := NewParams(g.N())
-
-	// Stage 1+2: structural protocol on the real graph.
+	// Stage 1+2: the block–cut structural stage on the real graph, plus
+	// the home-path checks of Theorem 6.1.
 	di := dip.NewInstance(g)
-	structRes, err := StructuralProtocol(di, p, plan).RunOnce(di, rng, cfg.Child("structural")...)
+	structural := blockcut.Protocol("outerplanar", g, blockcut.NewParams(g.N()), &plan.Witness, plan.anchors(), homePathChecks)
+	structRes, err := structural.RunOnce(di, rng, cfg.Child("structural")...)
 	if err != nil {
 		return nil, fmt.Errorf("outerplanar: structural stage: %w", err)
 	}
@@ -71,15 +66,8 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	// Per-node per-round label bits, merged across stages. The composed
 	// protocol has 3 prover rounds; structural labels ride in the first
 	// two.
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	merged := dip.NewNodeBits(3, g.N())
+	merged.Add(structRes.Stats.LabelBits)
 
 	// Stage 3: path-outerplanarity in every component.
 	accepted := structRes.Accepted
@@ -114,13 +102,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 		mergeComponentBits(merged, sres.Stats.LabelBits, sub, g)
 	}
 	res.Accepted = accepted
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.ProofSizeBits = merged.Max()
 	return res, nil
 }
 
@@ -128,7 +110,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 // nodes: ordinary members carry their own labels; the separating node's
 // labels are deferred to each of its component neighbors (paper §6), so
 // cut vertices stay small no matter how many components meet there.
-func mergeComponentBits(merged [][]int, sub [][]int, si SubInstance, g *graph.Graph) {
+func mergeComponentBits(merged dip.NodeBits, sub [][]int, si SubInstance, g *graph.Graph) {
 	for r, row := range sub {
 		if r >= len(merged) {
 			break
@@ -145,4 +127,30 @@ func mergeComponentBits(merged [][]int, sub [][]int, si SubInstance, g *graph.Gr
 			merged[r][si.Orig[sv]] += bits
 		}
 	}
+}
+
+// homePathChecks are the structural conditions outerplanarity adds to the
+// block–cut stage: a node has at most one home-path child (leader
+// children start child components), and the last node of a home path is
+// adjacent to its component's separating node, which closes the
+// Hamiltonian cycle of Theorem 6.1.
+func homePathChecks(nd blockcut.Node) bool {
+	pathChildren := 0
+	for _, cp := range nd.Forest.ChildPorts {
+		if !nd.Nbr1[cp].Leader {
+			pathChildren++
+		}
+	}
+	if pathChildren > 1 {
+		return false
+	}
+	if pathChildren == 0 {
+		for _, nb := range nd.Nbr2 {
+			if nb.Self == nd.Own2.Sep {
+				return true
+			}
+		}
+		return false
+	}
+	return true
 }

@@ -46,13 +46,7 @@ func ProofSizeBound(n, delta int) int {
 func Run(g *graph.Graph, hint *planar.Rotation, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("planarity", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer func() { endRun(res) }()
 	res = &dip.Outcome{Rounds: Rounds}
 	if g.N() < 2 {
 		return nil, errors.New("planarity: need n >= 2")

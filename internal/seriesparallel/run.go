@@ -36,13 +36,7 @@ func ProofSizeBound(n, delta int) int {
 func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("seriesparallel", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer func() { endRun(res) }()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -63,15 +57,8 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	}
 	res.TotalLabelBits = structRes.Stats.TotalLabelBits
 
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	merged := dip.NewNodeBits(3, g.N())
+	merged.Add(structRes.Stats.LabelBits)
 
 	accepted := structRes.Accepted
 	for nix, ni := range plan.NestingInstances() {
@@ -99,13 +86,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	}
 	res.Accepted = accepted
 	res.NodeBits = merged
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.ProofSizeBits = merged.Max()
 	return res, nil
 }
 
@@ -113,7 +94,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 // carry their own labels; the ear's two endpoints (which live on the host
 // ear) have their labels deferred to their adjacent interior nodes, as in
 // the paper's ears-as-edges simulation.
-func mergeEarBits(merged [][]int, sub [][]int, ni NestingInstance, plan *Plan) {
+func mergeEarBits(merged dip.NodeBits, sub [][]int, ni NestingInstance, plan *Plan) {
 	k := len(ni.Orig)
 	for r, row := range sub {
 		if r >= len(merged) {

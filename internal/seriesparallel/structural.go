@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"repro/internal/bitio"
+	"repro/internal/blockcut"
 	"repro/internal/dip"
 	"repro/internal/forestcode"
 	"repro/internal/graph"
@@ -28,16 +29,10 @@ type Params struct {
 	L int
 }
 
-// NewParams derives parameters from n.
+// NewParams derives parameters from n: L is the string length of the
+// block–cut structural stage.
 func NewParams(n int) Params {
-	l := 3 * bitio.BitsFor(bitio.BitsFor(n)+1)
-	if l < 8 {
-		l = 8
-	}
-	if l > 63 {
-		l = 63
-	}
-	return Params{L: l}
+	return Params{L: blockcut.NewParams(n).L}
 }
 
 // Edge classification in the committed decomposition.

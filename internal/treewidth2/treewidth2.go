@@ -2,43 +2,39 @@
 // 1.7 via Lemma 8.2: a graph has treewidth <= 2 iff every biconnected
 // component is series-parallel.
 //
-// The protocol mirrors the Theorem 1.3 template: the prover roots the
-// block-cut tree, commits one DFS tree per block (rooted at the block's
-// separating vertex, so the root has exactly one child — the block
-// leader), verifies the union is a spanning tree (Lemma 2.5, amplified),
-// isolates blocks with sep/lead random strings exactly as in the
-// outerplanarity protocol, and runs the Theorem 1.6 series-parallel
-// protocol inside every block, deferring the separating vertex's labels
-// to the block leader.
+// The protocol follows the Theorem 1.3 template. The prover roots the
+// block–cut tree and commits one DFS tree per block, rooted at the
+// block's separating vertex, so that the DFS root has exactly one child:
+// the block leader. The block–cut structural stage of internal/blockcut,
+// shared with the outerplanarity protocol, then checks that the union of
+// the DFS trees is a spanning tree (Lemma 2.5, amplified) and isolates
+// the blocks with sep/lead random strings. Finally the Theorem 1.6
+// series-parallel protocol runs inside every block, with the separating
+// vertex's labels deferred to the block leader.
 package treewidth2
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"repro/internal/bitio"
+	"repro/internal/blockcut"
 	"repro/internal/dip"
-	"repro/internal/forestcode"
 	"repro/internal/graph"
 	"repro/internal/seriesparallel"
-	"repro/internal/spantree"
 )
 
 // Plan is the prover's decomposition witness.
 type Plan struct {
+	// Witness is what the block–cut structural stage commits: F is the
+	// union of the per-block DFS trees, and Home[v] is the block owning v
+	// (cut vertices belong to the block of their parent edge, the root
+	// anchor to the root block).
+	blockcut.Witness
 	// BlockVerts[c] lists block c's vertices; BlockVerts[c][0] is the
 	// separating vertex (or the root anchor for the root block).
 	BlockVerts [][]int
-	// ParentF[v] is v's parent in the union of per-block DFS trees.
-	ParentF []int
-	// Home[v] is the block owning v (cut vertices belong to the block of
-	// their parent edge; the root anchor to the root block).
-	Home []int
-	Root int
-	// RootComp indexes the root block.
-	RootComp        int
-	IsCut, IsLeader []bool
 }
 
 // HonestPlan derives the decomposition. It never fails structurally (the
@@ -55,11 +51,13 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	bct := graph.NewBlockCutTree(g, 0)
 	dec := bct.Decomp
 	p := &Plan{
+		Witness: blockcut.Witness{
+			ParentF:  make([]int, n),
+			Home:     make([]int, n),
+			IsCut:    append([]bool(nil), dec.IsCut...),
+			IsLeader: make([]bool, n),
+		},
 		BlockVerts: make([][]int, len(dec.Components)),
-		ParentF:    make([]int, n),
-		Home:       make([]int, n),
-		IsCut:      append([]bool(nil), dec.IsCut...),
-		IsLeader:   make([]bool, n),
 	}
 	for v := range p.ParentF {
 		p.ParentF[v] = -2
@@ -81,9 +79,10 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 			p.IsLeader[sep] = true
 		}
 		sub, orig := dec.Block(c)
-		sepLocal := indexOf(orig, sep)
-		parents := dfsTree(sub, sepLocal)
-		// Root of a DFS tree of a biconnected graph has one child.
+		parents := dfsTree(sub, slices.Index(orig, sep))
+		// Root of a DFS tree of a biconnected graph has one child: the
+		// block leader. The root block's child stays unflagged; the root
+		// itself plays the leader there.
 		ordered := []int{sep}
 		for lv, lp := range parents {
 			v := orig[lv]
@@ -96,10 +95,6 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 			if orig[lp] == sep && c != bct.RootBlock {
 				p.IsLeader[v] = true
 			}
-			if orig[lp] == sep && c == bct.RootBlock {
-				// The root block's single DFS child stays unflagged; the
-				// root itself plays the leader.
-			}
 		}
 		p.BlockVerts[c] = ordered
 	}
@@ -111,13 +106,24 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	return p, nil
 }
 
-func indexOf(s []int, x int) int {
-	for i, v := range s {
-		if v == x {
-			return i
+// anchors gives every block's structural anchors: its separating vertex
+// and its leader, the first flagged member whose parent is the separating
+// vertex (the separating vertex itself when none is).
+func (p *Plan) anchors() []blockcut.Anchor {
+	a := make([]blockcut.Anchor, len(p.BlockVerts))
+	for c, verts := range p.BlockVerts {
+		if len(verts) == 0 {
+			continue
+		}
+		a[c] = blockcut.Anchor{Sep: verts[0], Lead: verts[0]}
+		for _, v := range verts[1:] {
+			if p.IsLeader[v] && p.ParentF[v] == verts[0] {
+				a[c].Lead = v
+				break
+			}
 		}
 	}
-	return -1
+	return a
 }
 
 // dfsTree returns true depth-first-search parent pointers rooted at r
@@ -148,312 +154,6 @@ func dfsTree(g *graph.Graph, r int) []int {
 	return parent
 }
 
-// ---- structural protocol (stage 1+2) --------------------------------
-
-// Params reuses the outerplanarity-style structural parameters.
-type Params struct {
-	L  int
-	ST spantree.Params
-}
-
-// NewParams derives parameters from n.
-func NewParams(n int) Params {
-	l := 3 * bitio.BitsFor(bitio.BitsFor(n)+1)
-	if l < 8 {
-		l = 8
-	}
-	if l > 63 {
-		l = 63
-	}
-	return Params{L: l, ST: spantree.Params{Reps: l, IDBits: l}}
-}
-
-type structR1 struct {
-	FC     forestcode.Label
-	Cut    bool
-	Leader bool
-}
-
-func (l structR1) encode() bitio.String {
-	var w bitio.Writer
-	w.WriteString(l.FC.Encode())
-	w.WriteBool(l.Cut)
-	w.WriteBool(l.Leader)
-	return w.String()
-}
-
-func decodeStructR1(s bitio.String) (structR1, error) {
-	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
-	if err != nil {
-		return structR1{}, fmt.Errorf("treewidth2: r1: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return structR1{}, err
-	}
-	cut, err := r.ReadBool()
-	if err != nil {
-		return structR1{}, err
-	}
-	lead, err := r.ReadBool()
-	if err != nil {
-		return structR1{}, err
-	}
-	return structR1{FC: fc, Cut: cut, Leader: lead}, nil
-}
-
-type structCoin struct {
-	S  uint64
-	ST spantree.Coin
-}
-
-func (c structCoin) encode(p Params) bitio.String {
-	var w bitio.Writer
-	w.WriteUint(c.S, p.L)
-	w.WriteString(c.ST.Encode(p.ST))
-	return w.String()
-}
-
-func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
-	r := s.Reader()
-	sv, err := r.ReadUint(p.L)
-	if err != nil {
-		return structCoin{}, fmt.Errorf("treewidth2: coin: %w", err)
-	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return structCoin{}, err
-	}
-	st, err := spantree.DecodeCoin(stBits, p.ST)
-	if err != nil {
-		return structCoin{}, err
-	}
-	return structCoin{S: sv, ST: st}, nil
-}
-
-type structR2 struct {
-	Self uint64
-	Sep  uint64
-	Lead uint64
-	ST   spantree.Sum
-}
-
-func (l structR2) encode(p Params) bitio.String {
-	var w bitio.Writer
-	w.WriteUint(l.Self, p.L)
-	w.WriteUint(l.Sep, p.L)
-	w.WriteUint(l.Lead, p.L)
-	w.WriteString(l.ST.Encode(p.ST))
-	return w.String()
-}
-
-func decodeStructR2(s bitio.String, p Params) (structR2, error) {
-	r := s.Reader()
-	var l structR2
-	var err error
-	if l.Self, err = r.ReadUint(p.L); err != nil {
-		return l, fmt.Errorf("treewidth2: r2: %w", err)
-	}
-	if l.Sep, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	if l.Lead, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return l, err
-	}
-	if l.ST, err = spantree.DecodeSum(stBits, p.ST); err != nil {
-		return l, err
-	}
-	return l, nil
-}
-
-type structProver struct {
-	p    Params
-	plan *Plan
-	g    *graph.Graph
-}
-
-func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignment, error) {
-	g := sp.g
-	switch round {
-	case 0:
-		fc, err := forestcode.EncodeForest(g, sp.plan.ParentF)
-		if err != nil {
-			return nil, err
-		}
-		a := dip.NewAssignment(g)
-		for v := 0; v < g.N(); v++ {
-			a.Node[v] = structR1{
-				FC:     fc[v],
-				Cut:    sp.plan.IsCut[v],
-				Leader: sp.plan.IsLeader[v],
-			}.encode()
-		}
-		return a, nil
-	case 1:
-		n := g.N()
-		cs := make([]structCoin, n)
-		for v := 0; v < n; v++ {
-			c, err := decodeStructCoin(coins[0][v], sp.p)
-			if err != nil {
-				return nil, err
-			}
-			cs[v] = c
-		}
-		stCoins := make([]spantree.Coin, n)
-		for v := range stCoins {
-			stCoins[v] = cs[v].ST
-		}
-		sums, err := spantree.HonestSums(sp.plan.ParentF, stCoins)
-		if err != nil {
-			return nil, err
-		}
-		a := dip.NewAssignment(g)
-		for v := 0; v < n; v++ {
-			c := sp.plan.Home[v]
-			sep := sp.plan.BlockVerts[c][0]
-			var lead int
-			if c == sp.plan.RootComp {
-				sep, lead = sp.plan.Root, sp.plan.Root
-			} else {
-				lead = leaderOf(sp.plan, c)
-			}
-			a.Node[v] = structR2{
-				Self: cs[v].S,
-				Sep:  cs[sep].S,
-				Lead: cs[lead].S,
-				ST:   sums[v],
-			}.encode(sp.p)
-		}
-		return a, nil
-	}
-	return nil, fmt.Errorf("treewidth2: unexpected round %d", round)
-}
-
-func leaderOf(p *Plan, c int) int {
-	for _, v := range p.BlockVerts[c][1:] {
-		if p.IsLeader[v] && p.ParentF[v] == p.BlockVerts[c][0] {
-			return v
-		}
-	}
-	return p.BlockVerts[c][0]
-}
-
-type structVerifier struct {
-	p Params
-}
-
-func (sv structVerifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String {
-	return structCoin{
-		S:  rng.Uint64() & ((1 << uint(sv.p.L)) - 1),
-		ST: spantree.SampleCoin(sv.p.ST, rng),
-	}.encode(sv.p)
-}
-
-func (sv structVerifier) Decide(view *dip.View) bool {
-	own1, err := decodeStructR1(view.Own[0])
-	if err != nil {
-		return false
-	}
-	own2, err := decodeStructR2(view.Own[1], sv.p)
-	if err != nil {
-		return false
-	}
-	coin, err := decodeStructCoin(view.Coins[0], sv.p)
-	if err != nil {
-		return false
-	}
-	nbr1 := make([]structR1, view.Deg)
-	nbr2 := make([]structR2, view.Deg)
-	fcNbr := make([]forestcode.Label, view.Deg)
-	for port := 0; port < view.Deg; port++ {
-		if nbr1[port], err = decodeStructR1(view.Nbr[port][0]); err != nil {
-			return false
-		}
-		if nbr2[port], err = decodeStructR2(view.Nbr[port][1], sv.p); err != nil {
-			return false
-		}
-		fcNbr[port] = nbr1[port].FC
-	}
-	dec, err := forestcode.Decode(own1.FC, fcNbr)
-	if err != nil {
-		return false
-	}
-	if own2.Self != coin.S {
-		return false
-	}
-	var parentSum *spantree.Sum
-	nbrSums := make([]spantree.Sum, view.Deg)
-	for port := range nbrSums {
-		nbrSums[port] = nbr2[port].ST
-		if port == dec.ParentPort {
-			parentSum = &nbrSums[port]
-		}
-	}
-	if !spantree.CheckNode(sv.p.ST, dec.ParentPort == -1, coin.ST, own2.ST, parentSum, nbrSums) {
-		return false
-	}
-	leaderChildren := 0
-	for _, cp := range dec.ChildPorts {
-		if nbr1[cp].Leader {
-			leaderChildren++
-		}
-	}
-	if own1.Cut != (leaderChildren > 0) {
-		return false
-	}
-	switch {
-	case dec.ParentPort == -1:
-		if !own1.Leader {
-			return false
-		}
-		if own2.Sep != coin.S || own2.Lead != coin.S {
-			return false
-		}
-	case own1.Leader:
-		if !nbr1[dec.ParentPort].Cut {
-			return false
-		}
-		if own2.Sep != nbr2[dec.ParentPort].Self {
-			return false
-		}
-		if own2.Lead != coin.S {
-			return false
-		}
-	default:
-		if own2.Sep != nbr2[dec.ParentPort].Sep || own2.Lead != nbr2[dec.ParentPort].Lead {
-			return false
-		}
-	}
-	if !own1.Cut {
-		for port := 0; port < view.Deg; port++ {
-			sameHome := nbr2[port].Sep == own2.Sep && nbr2[port].Lead == own2.Lead
-			viaCut := nbr1[port].Cut && own2.Sep == nbr2[port].Self
-			if !sameHome && !viaCut {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// StructuralProtocol wires the 3-round structural stage.
-func StructuralProtocol(g *graph.Graph, p Params, plan *Plan) *dip.Protocol {
-	return &dip.Protocol{
-		Name:           "treewidth2-structural",
-		ProverRounds:   2,
-		VerifierRounds: 1,
-		NewProver:      func() dip.Prover { return &structProver{p: p, plan: plan, g: g} },
-		Verifier:       structVerifier{p: p},
-	}
-}
-
-// ---- composite runner ------------------------------------------------
-
 // Rounds is the declared interaction-round count of Theorem 1.7.
 const Rounds = 5
 
@@ -479,13 +179,7 @@ func ProofSizeBound(n, delta int) int {
 func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res *dip.Outcome, err error) {
 	cfg := dip.NewRunConfig(opts...)
 	endRun := cfg.CompositeSpan("treewidth2", g.N(), Rounds)
-	defer func() {
-		if res != nil {
-			endRun(res.Accepted, res.ProofSizeBits)
-		} else {
-			endRun(false, 0)
-		}
-	}()
+	defer func() { endRun(res) }()
 	res = &dip.Outcome{Rounds: Rounds}
 	if plan == nil {
 		plan, err = HonestPlan(g)
@@ -494,9 +188,10 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			return res, nil
 		}
 	}
-	p := NewParams(g.N())
+	anchors := plan.anchors()
 	di := dip.NewInstance(g)
-	structRes, err := StructuralProtocol(g, p, plan).RunOnce(di, rng, cfg.Child("structural")...)
+	structural := blockcut.Protocol("treewidth2", g, blockcut.NewParams(g.N()), &plan.Witness, anchors, nil)
+	structRes, err := structural.RunOnce(di, rng, cfg.Child("structural")...)
 	if err != nil {
 		return nil, fmt.Errorf("treewidth2: structural stage: %w", err)
 	}
@@ -505,15 +200,8 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 	}
 	res.TotalLabelBits = structRes.Stats.TotalLabelBits
 
-	merged := make([][]int, 3)
-	for r := range merged {
-		merged[r] = make([]int, g.N())
-	}
-	for r, row := range structRes.Stats.LabelBits {
-		for v, bits := range row {
-			merged[r][v] += bits
-		}
-	}
+	merged := dip.NewNodeBits(3, g.N())
+	merged.Add(structRes.Stats.LabelBits)
 
 	accepted := structRes.Accepted
 	// Biconnected blocks share at most one vertex, so the subgraph
@@ -542,7 +230,7 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 			for sv, bits := range row {
 				v := verts[sv]
 				if sv == 0 && c != plan.RootComp {
-					merged[r][leaderOf(plan, c)] += bits
+					merged[r][anchors[c].Lead] += bits
 					continue
 				}
 				merged[r][v] += bits
@@ -550,12 +238,6 @@ func Run(g *graph.Graph, plan *Plan, rng *rand.Rand, opts ...dip.RunOption) (res
 		}
 	}
 	res.Accepted = accepted
-	for _, row := range merged {
-		for _, bits := range row {
-			if bits > res.ProofSizeBits {
-				res.ProofSizeBits = bits
-			}
-		}
-	}
+	res.ProofSizeBits = merged.Max()
 	return res, nil
 }
