@@ -12,7 +12,7 @@ import (
 	"math/bits"
 )
 
-// ErrShortRead is returned when a reader runs out of bits.
+// ErrShortRead is recorded when a reader runs out of bits.
 var ErrShortRead = errors.New("bitio: read past end of bit string")
 
 // Writer accumulates bits most-significant-first. The zero value is
@@ -214,65 +214,65 @@ func (s String) window(pos int) uint64 {
 	return x
 }
 
-// Reader consumes a String most-significant-bit first. A read longer
-// than what remains returns ErrShortRead and leaves the reader
-// exhausted, as a bit-by-bit reader that ran off the end would.
+// Reader consumes a String most-significant-bit first. Reads are
+// sticky: the first read longer than what remains, or at an invalid
+// width, records ErrShortRead and exhausts the reader, as a bit-by-bit
+// reader that ran off the end would, and every later read returns a
+// zero value. A decoder reads all of its fields, nested sub-labels
+// included, and checks Err once.
 type Reader struct {
 	s   String
 	pos int
+	err error
 }
+
+// Err reports ErrShortRead if any read so far ran short, else nil.
+func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.s.nbit - r.pos }
 
-// take reserves the next n bits and returns their start, or fails with
-// ErrShortRead (exhausting the reader) when fewer than n remain.
-func (r *Reader) take(n int) (int, error) {
-	if n > r.s.nbit-r.pos {
+// take reserves the next n bits and returns their start, or fails
+// (recording ErrShortRead and exhausting the reader) when n is negative
+// or fewer than n bits remain.
+func (r *Reader) take(n int) (int, bool) {
+	if n < 0 || n > r.s.nbit-r.pos {
 		r.pos = r.s.nbit
-		return 0, ErrShortRead
+		r.err = ErrShortRead
+		return 0, false
 	}
 	pos := r.pos
 	r.pos += n
-	return pos, nil
+	return pos, true
 }
 
-// ReadBit consumes one bit.
-func (r *Reader) ReadBit() (bool, error) {
-	pos, err := r.take(1)
-	if err != nil {
-		return false, err
-	}
-	return r.s.window(pos)>>63 == 1, nil
+// ReadBool consumes one bit.
+func (r *Reader) ReadBool() bool {
+	pos, ok := r.take(1)
+	return ok && r.s.window(pos)>>63 == 1
 }
 
-// ReadUint consumes width bits as an unsigned integer.
-func (r *Reader) ReadUint(width int) (uint64, error) {
-	if width < 0 || width > 64 {
-		return 0, fmt.Errorf("bitio: invalid width %d", width)
+// ReadUint consumes width bits, 0 <= width <= 64, as an unsigned integer.
+func (r *Reader) ReadUint(width int) uint64 {
+	if width > 64 {
+		width = -1 // fails in take
 	}
-	pos, err := r.take(width)
-	if err != nil || width == 0 {
-		return 0, err
+	pos, ok := r.take(width)
+	if !ok || width == 0 {
+		return 0
 	}
-	return r.s.window(pos) >> uint(64-width), nil
+	return r.s.window(pos) >> uint(64-width)
 }
-
-// ReadBool consumes one bit as a boolean.
-func (r *Reader) ReadBool() (bool, error) { return r.ReadBit() }
 
 // ReadString consumes the next n bits as a String in canonical form. It
 // does not allocate for n <= 64, where the result is inline.
-func (r *Reader) ReadString(n int) (String, error) {
-	if n < 0 {
-		return String{}, fmt.Errorf("bitio: invalid length %d", n)
-	}
-	pos, err := r.take(n)
-	if err != nil {
-		return String{}, err
+func (r *Reader) ReadString(n int) String {
+	pos, ok := r.take(n)
+	if !ok {
+		return String{}
 	}
 	if n <= inlineBits {
-		return String{word: r.s.window(pos) & highMask(n), nbit: n}, nil
+		return String{word: r.s.window(pos) & highMask(n), nbit: n}
 	}
 	data := make([]byte, (n+7)/8)
 	for off := 0; off < n; off += 64 {
@@ -282,7 +282,22 @@ func (r *Reader) ReadString(n int) (String, error) {
 			data[(off+i)/8] = byte(x >> (56 - uint(i)))
 		}
 	}
-	return String{data: data, nbit: n}, nil
+	return String{data: data, nbit: n}
+}
+
+// Decode reads one value from the front of s with read; bits past the
+// value are ignored. It returns the zero value and ErrShortRead if s
+// runs short. Decode inlines, so with a method expression for read the
+// reader and the value stay on the caller's stack.
+func Decode[T, P any](s String, p P, read func(*T, *Reader, P)) (T, error) {
+	r := s.Reader()
+	var v T
+	read(&v, r, p)
+	if r.err != nil {
+		var zero T
+		return zero, r.err
+	}
+	return v, nil
 }
 
 // BitsFor returns the number of bits needed to represent values in [0, n),

@@ -21,8 +21,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if s.Len() != tt.width {
 			t.Fatalf("width %d: got len %d", tt.width, s.Len())
 		}
-		got, err := s.Reader().ReadUint(tt.width)
-		if err != nil {
+		r := s.Reader()
+		got := r.ReadUint(tt.width)
+		if err := r.Err(); err != nil {
 			t.Fatalf("read: %v", err)
 		}
 		if got != tt.v {
@@ -42,32 +43,65 @@ func TestMixedFields(t *testing.T) {
 		t.Fatalf("len = %d, want 14", s.Len())
 	}
 	r := s.Reader()
-	b, _ := r.ReadBool()
-	if !b {
+	if !r.ReadBool() {
 		t.Fatal("first bool")
 	}
-	v, _ := r.ReadUint(7)
-	if v != 42 {
+	if v := r.ReadUint(7); v != 42 {
 		t.Fatalf("got %d want 42", v)
 	}
-	b, _ = r.ReadBool()
-	if b {
+	if r.ReadBool() {
 		t.Fatal("second bool")
 	}
-	v, _ = r.ReadUint(5)
-	if v != 9 {
+	if v := r.ReadUint(5); v != 9 {
 		t.Fatalf("got %d want 9", v)
 	}
-	if r.Remaining() != 0 {
-		t.Fatalf("remaining %d", r.Remaining())
+	if r.Remaining() != 0 || r.Err() != nil {
+		t.Fatalf("remaining %d, err %v", r.Remaining(), r.Err())
 	}
 }
 
+// TestShortRead pins the sticky reader: the first short read records
+// ErrShortRead and exhausts the reader, and every later read, even one
+// that would have fit before, returns a zero value.
 func TestShortRead(t *testing.T) {
 	s := FromUint(3, 2)
 	r := s.Reader()
-	if _, err := r.ReadUint(3); err != ErrShortRead {
-		t.Fatalf("want ErrShortRead, got %v", err)
+	if v := r.ReadUint(3); v != 0 || r.Err() != ErrShortRead || r.Remaining() != 0 {
+		t.Fatalf("short read: got %d, err %v, remaining %d", v, r.Err(), r.Remaining())
+	}
+	if r.ReadBool() || r.ReadUint(1) != 0 || r.ReadString(1).Len() != 0 || r.Err() != ErrShortRead {
+		t.Fatal("reads after a short read must return zero values and keep the error")
+	}
+	for _, width := range []int{-1, 65} {
+		r := s.Reader()
+		if v := r.ReadUint(width); v != 0 || r.Err() != ErrShortRead || r.Remaining() != 0 {
+			t.Fatalf("invalid width %d: got %d, err %v, remaining %d", width, v, r.Err(), r.Remaining())
+		}
+	}
+}
+
+type pair struct{ A, B uint64 }
+
+func (v *pair) read(r *Reader, width int) {
+	v.A = r.ReadUint(width)
+	v.B = r.ReadUint(width)
+}
+
+// TestDecode checks the shared entry point: trailing bits are ignored,
+// a short input yields the zero value and ErrShortRead, and an inline
+// label decodes without allocating.
+func TestDecode(t *testing.T) {
+	if got, err := Decode(FromUint(0b1011101, 7), 3, (*pair).read); err != nil || got != (pair{5, 6}) {
+		t.Fatalf("decode with a trailing bit: %+v, %v", got, err)
+	}
+	if got, err := Decode(FromUint(45, 6), 4, (*pair).read); err != ErrShortRead || got != (pair{}) {
+		t.Fatalf("short decode: %+v, %v", got, err)
+	}
+	var sink pair
+	s := FromUint(0xbeef, 16)
+	allocs := testing.AllocsPerRun(100, func() { sink, _ = Decode(s, 8, (*pair).read) })
+	if allocs != 0 || sink != (pair{0xbe, 0xef}) {
+		t.Errorf("Decode allocated %.1f times per call (got %+v), want 0", allocs, sink)
 	}
 }
 
@@ -116,8 +150,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		}
 		r := w.String().Reader()
 		for _, v := range vals {
-			got, err := r.ReadUint(16)
-			if err != nil || got != uint64(v) {
+			if r.ReadUint(16) != uint64(v) || r.Err() != nil {
 				return false
 			}
 		}
@@ -162,9 +195,9 @@ func TestInlineCanonicalForm(t *testing.T) {
 		if !direct.Equal(written) {
 			t.Fatalf("width %d: FromUint and Writer.String disagree", width)
 		}
-		got, err := written.Reader().ReadUint(width)
-		if err != nil || got != v {
-			t.Fatalf("width %d: round-trip got %d (%v), want %d", width, got, err, v)
+		r := written.Reader()
+		if got := r.ReadUint(width); r.Err() != nil || got != v {
+			t.Fatalf("width %d: round-trip got %d (%v), want %d", width, got, r.Err(), v)
 		}
 	}
 	var w Writer

@@ -1,13 +1,10 @@
 package bitio
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // The word-level codec is checked against this bit-at-a-time reference:
 // a bit string is a []bool, and a read past the end exhausts the
-// reader, as a per-bit loop does.
+// reader, as a per-bit loop does, and leaves the error standing.
 
 // refString packs bits into a String in canonical form without going
 // through Writer: inline (word MSB-aligned) up to 64 bits, spilled
@@ -42,18 +39,33 @@ func refUintBits(v uint64, width int) []bool {
 type refReader struct {
 	bits []bool
 	pos  int
+	err  error
 }
 
 // take mirrors a bit-by-bit loop: on a short read every remaining bit
-// has been consumed when the error surfaces.
-func (r *refReader) take(n int) ([]bool, error) {
+// has been consumed when the error surfaces. It returns nil bits, which
+// read as zero, on failure.
+func (r *refReader) take(n int) []bool {
 	if n > len(r.bits)-r.pos {
 		r.pos = len(r.bits)
-		return nil, ErrShortRead
+		r.err = ErrShortRead
+		return nil
 	}
 	out := r.bits[r.pos : r.pos+n]
 	r.pos += n
-	return out, nil
+	return out
+}
+
+// refValue packs bits read by take; nil (a failed read) reads as zero.
+func refValue(bits []bool) uint64 {
+	var v uint64
+	for _, b := range bits {
+		v <<= 1
+		if b {
+			v |= 1
+		}
+	}
+	return v
 }
 
 // fuzzInput doles out the fuzzer's bytes; exhausted input reads as zero.
@@ -116,7 +128,7 @@ func checkCanonical(t *testing.T, what string, s String) {
 // FuzzWordOps runs a program of mixed-width writes, then a program of
 // mixed-width reads over the result, through the codec and the
 // reference, and demands identical bits, values, errors and cursor
-// positions throughout.
+// positions throughout. An invalid width fails like a read past the end.
 func FuzzWordOps(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 1, 2, 7, 0xaa, 3, 130, 0x55})
@@ -172,41 +184,34 @@ func FuzzWordOps(f *testing.F) {
 			switch kind {
 			case 0:
 				width := n % 66 // 65 is an invalid width
-				got, err := r.ReadUint(width)
+				got := r.ReadUint(width)
+				var want uint64
 				if width > 64 {
-					if err == nil || errors.Is(err, ErrShortRead) {
-						t.Fatalf("ReadUint(%d): err %v, want invalid width", width, err)
-					}
-					break
+					rr.take(len(rr.bits) + 1)
+				} else {
+					want = refValue(rr.take(width))
 				}
-				bits, rerr := rr.take(width)
-				if err != rerr {
-					t.Fatalf("ReadUint(%d): err %v, reference %v", width, err, rerr)
-				}
-				if rerr == nil && !refString(bits).Equal(FromUint(got, width)) {
-					t.Fatalf("ReadUint(%d) = %d, reference bits %q", width, got, refString(bits))
+				if got != want {
+					t.Fatalf("ReadUint(%d) = %d, reference %d", width, got, want)
 				}
 			case 1:
-				got, err := r.ReadBit()
-				bits, rerr := rr.take(1)
-				if err != rerr || (rerr == nil && got != bits[0]) {
-					t.Fatalf("ReadBit = %v, %v; reference %v, %v", got, err, bits, rerr)
+				got := r.ReadBool()
+				if want := refValue(rr.take(1)) == 1; got != want {
+					t.Fatalf("ReadBool = %v, reference %v", got, want)
 				}
 			case 2, 3:
 				if kind == 2 {
 					n %= 65
 				}
-				got, err := r.ReadString(n)
-				bits, rerr := rr.take(n)
-				if err != rerr {
-					t.Fatalf("ReadString(%d): err %v, reference %v", n, err, rerr)
+				got := r.ReadString(n)
+				bits := rr.take(n)
+				checkCanonical(t, "ReadString", got)
+				if !got.Equal(refString(bits)) {
+					t.Fatalf("ReadString(%d) = %q, reference %q", n, got, refString(bits))
 				}
-				if rerr == nil {
-					checkCanonical(t, "ReadString", got)
-					if !got.Equal(refString(bits)) {
-						t.Fatalf("ReadString(%d) = %q, reference %q", n, got, refString(bits))
-					}
-				}
+			}
+			if r.Err() != rr.err {
+				t.Fatalf("read op %d: Err %v, reference %v", op, r.Err(), rr.err)
 			}
 			if r.Remaining() != len(rr.bits)-rr.pos {
 				t.Fatalf("read op %d: Remaining %d, reference %d", op, r.Remaining(), len(rr.bits)-rr.pos)
@@ -226,13 +231,13 @@ func TestReadsCrossByteBoundaries(t *testing.T) {
 		for off := 0; off <= total; off++ {
 			for width := 0; width <= 64; width++ {
 				r := s.Reader()
-				if _, err := r.ReadString(off); err != nil {
-					t.Fatal(err)
+				if r.ReadString(off); r.Err() != nil {
+					t.Fatal(r.Err())
 				}
-				got, err := r.ReadString(width)
+				got := r.ReadString(width)
 				if off+width > total {
-					if err != ErrShortRead || r.Remaining() != 0 {
-						t.Fatalf("total %d off %d width %d: err %v remaining %d", total, off, width, err, r.Remaining())
+					if r.Err() != ErrShortRead || r.Remaining() != 0 || got.Len() != 0 {
+						t.Fatalf("total %d off %d width %d: err %v remaining %d", total, off, width, r.Err(), r.Remaining())
 					}
 					continue
 				}
@@ -241,8 +246,7 @@ func TestReadsCrossByteBoundaries(t *testing.T) {
 				}
 				r = s.Reader()
 				r.ReadString(off)
-				v, _ := r.ReadUint(width)
-				if !FromUint(v, width).Equal(got) {
+				if v := r.ReadUint(width); !FromUint(v, width).Equal(got) {
 					t.Fatalf("total %d off %d width %d: ReadUint %d disagrees with ReadString", total, off, width, v)
 				}
 			}
@@ -263,9 +267,9 @@ func TestWordOpsNoAlloc(t *testing.T) {
 		name string
 		f    func()
 	}{
-		{"ReadString(64)", func() { r.pos = 3; sink, _ = r.ReadString(64) }},
-		{"ReadString(7)", func() { r.pos = 100; sink, _ = r.ReadString(7) }},
-		{"ReadUint", func() { r.pos = 61; v, _ := r.ReadUint(37); sum += v }},
+		{"ReadString(64)", func() { r.pos = 3; sink = r.ReadString(64) }},
+		{"ReadString(7)", func() { r.pos = 100; sink = r.ReadString(7) }},
+		{"ReadUint", func() { r.pos = 61; sum += r.ReadUint(37) }},
 		{"WriteString", func() {
 			var w Writer
 			w.WriteString(short)

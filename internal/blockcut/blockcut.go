@@ -66,6 +66,43 @@ type Witness struct {
 	IsCut, IsLeader []bool
 }
 
+// NewWitness starts a witness with the cut flags isCut, one per node:
+// no node has a parent in F (-2) or a home block (-1) yet, and none is a
+// leader.
+func NewWitness(isCut []bool) Witness {
+	n := len(isCut)
+	w := Witness{
+		ParentF:  make([]int, n),
+		Home:     make([]int, n),
+		IsCut:    append([]bool(nil), isCut...),
+		IsLeader: make([]bool, n),
+	}
+	for v := range w.ParentF {
+		w.ParentF[v] = -2
+		w.Home[v] = -1
+	}
+	return w
+}
+
+// SetRoot makes v, the first node of the root block c, the root of F; it
+// is the leader of its own block.
+func (w *Witness) SetRoot(v, c int) {
+	w.Root, w.RootComp = v, c
+	w.Home[v] = c
+	w.ParentF[v] = -1
+	w.IsLeader[v] = true
+}
+
+// Covered fails if some node has no parent in F or no home block.
+func (w *Witness) Covered() error {
+	for v := range w.ParentF {
+		if w.ParentF[v] == -2 || w.Home[v] == -1 {
+			return fmt.Errorf("blockcut: vertex %d not covered by the decomposition", v)
+		}
+	}
+	return nil
+}
+
 // Anchor names a block's separating vertex and leader, whose strings
 // every node of the block echoes as sep and lead.
 type Anchor struct {
@@ -79,33 +116,16 @@ type R1 struct {
 	Leader bool
 }
 
-func (l R1) encode() bitio.String {
-	var w bitio.Writer
-	w.WriteString(l.FC.Encode())
+func (l R1) write(w *bitio.Writer, _ Params) {
+	l.FC.Write(w)
 	w.WriteBool(l.Cut)
 	w.WriteBool(l.Leader)
-	return w.String()
 }
 
-func decodeR1(s bitio.String) (R1, error) {
-	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
-	if err != nil {
-		return R1{}, fmt.Errorf("blockcut: r1: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return R1{}, err
-	}
-	cut, err := r.ReadBool()
-	if err != nil {
-		return R1{}, err
-	}
-	lead, err := r.ReadBool()
-	if err != nil {
-		return R1{}, err
-	}
-	return R1{FC: fc, Cut: cut, Leader: lead}, nil
+func (l *R1) read(r *bitio.Reader, _ Params) {
+	l.FC.Read(r)
+	l.Cut = r.ReadBool()
+	l.Leader = r.ReadBool()
 }
 
 // Coin is a node's randomness: its string s_v plus the spanning-tree
@@ -115,28 +135,14 @@ type Coin struct {
 	ST spantree.Coin
 }
 
-func (c Coin) encode(p Params) bitio.String {
-	var w bitio.Writer
+func (c Coin) write(w *bitio.Writer, p Params) {
 	w.WriteUint(c.S, p.L)
-	w.WriteString(c.ST.Encode(p.ST))
-	return w.String()
+	c.ST.Write(w, p.ST)
 }
 
-func decodeCoin(s bitio.String, p Params) (Coin, error) {
-	r := s.Reader()
-	sv, err := r.ReadUint(p.L)
-	if err != nil {
-		return Coin{}, fmt.Errorf("blockcut: coin: %w", err)
-	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return Coin{}, err
-	}
-	st, err := spantree.DecodeCoin(stBits, p.ST)
-	if err != nil {
-		return Coin{}, err
-	}
-	return Coin{S: sv, ST: st}, nil
+func (c *Coin) read(r *bitio.Reader, p Params) {
+	c.S = r.ReadUint(p.L)
+	c.ST.Read(r, p.ST)
 }
 
 // R2 is the second label: the node's own echoed string, its block's sep
@@ -148,36 +154,18 @@ type R2 struct {
 	ST   spantree.Sum
 }
 
-func (l R2) encode(p Params) bitio.String {
-	var w bitio.Writer
+func (l R2) write(w *bitio.Writer, p Params) {
 	w.WriteUint(l.Self, p.L)
 	w.WriteUint(l.Sep, p.L)
 	w.WriteUint(l.Lead, p.L)
-	w.WriteString(l.ST.Encode(p.ST))
-	return w.String()
+	l.ST.Write(w, p.ST)
 }
 
-func decodeR2(s bitio.String, p Params) (R2, error) {
-	r := s.Reader()
-	var l R2
-	var err error
-	if l.Self, err = r.ReadUint(p.L); err != nil {
-		return l, fmt.Errorf("blockcut: r2: %w", err)
-	}
-	if l.Sep, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	if l.Lead, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return l, err
-	}
-	if l.ST, err = spantree.DecodeSum(stBits, p.ST); err != nil {
-		return l, err
-	}
-	return l, nil
+func (l *R2) read(r *bitio.Reader, p Params) {
+	l.Self = r.ReadUint(p.L)
+	l.Sep = r.ReadUint(p.L)
+	l.Lead = r.ReadUint(p.L)
+	l.ST.Read(r, p.ST)
 }
 
 // prover is the honest prover of the stage for a witness.
@@ -199,18 +187,16 @@ func (pr *prover) Round(round int, coins [][]bitio.String) (*dip.Assignment, err
 		}
 		a := dip.NewAssignment(g)
 		for v := 0; v < g.N(); v++ {
-			a.Node[v] = R1{
-				FC:     fc[v],
-				Cut:    pr.w.IsCut[v],
-				Leader: pr.w.IsLeader[v],
-			}.encode()
+			var w bitio.Writer
+			R1{FC: fc[v], Cut: pr.w.IsCut[v], Leader: pr.w.IsLeader[v]}.write(&w, pr.p)
+			a.Node[v] = w.String()
 		}
 		return a, nil
 	case 1:
 		n := g.N()
 		cs := make([]Coin, n)
 		for v := 0; v < n; v++ {
-			c, err := decodeCoin(coins[0][v], pr.p)
+			c, err := bitio.Decode(coins[0][v], pr.p, (*Coin).read)
 			if err != nil {
 				return nil, err
 			}
@@ -230,12 +216,9 @@ func (pr *prover) Round(round int, coins [][]bitio.String) (*dip.Assignment, err
 			if c := pr.w.Home[v]; c != pr.w.RootComp {
 				anc = pr.anchors[c]
 			}
-			a.Node[v] = R2{
-				Self: cs[v].S,
-				Sep:  cs[anc.Sep].S,
-				Lead: cs[anc.Lead].S,
-				ST:   sums[v],
-			}.encode(pr.p)
+			var w bitio.Writer
+			R2{Self: cs[v].S, Sep: cs[anc.Sep].S, Lead: cs[anc.Lead].S, ST: sums[v]}.write(&w, pr.p)
+			a.Node[v] = w.String()
 		}
 		return a, nil
 	}
@@ -263,22 +246,24 @@ type verifier struct {
 }
 
 func (vf verifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String {
-	return Coin{
+	var w bitio.Writer
+	Coin{
 		S:  rng.Uint64() & ((1 << uint(vf.p.L)) - 1),
 		ST: spantree.SampleCoin(vf.p.ST, rng),
-	}.encode(vf.p)
+	}.write(&w, vf.p)
+	return w.String()
 }
 
 func (vf verifier) Decide(view *dip.View) bool {
-	own1, err := decodeR1(view.Own[0])
+	own1, err := bitio.Decode(view.Own[0], vf.p, (*R1).read)
 	if err != nil {
 		return false
 	}
-	own2, err := decodeR2(view.Own[1], vf.p)
+	own2, err := bitio.Decode(view.Own[1], vf.p, (*R2).read)
 	if err != nil {
 		return false
 	}
-	coin, err := decodeCoin(view.Coins[0], vf.p)
+	coin, err := bitio.Decode(view.Coins[0], vf.p, (*Coin).read)
 	if err != nil {
 		return false
 	}
@@ -286,10 +271,10 @@ func (vf verifier) Decide(view *dip.View) bool {
 	nbr2 := make([]R2, view.Deg)
 	fcNbr := make([]forestcode.Label, view.Deg)
 	for port := 0; port < view.Deg; port++ {
-		if nbr1[port], err = decodeR1(view.Nbr[port][0]); err != nil {
+		if nbr1[port], err = bitio.Decode(view.Nbr[port][0], vf.p, (*R1).read); err != nil {
 			return false
 		}
-		if nbr2[port], err = decodeR2(view.Nbr[port][1], vf.p); err != nil {
+		if nbr2[port], err = bitio.Decode(view.Nbr[port][1], vf.p, (*R2).read); err != nil {
 			return false
 		}
 		fcNbr[port] = nbr1[port].FC

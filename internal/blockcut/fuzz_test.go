@@ -3,32 +3,10 @@ package blockcut
 import (
 	"testing"
 
-	"repro/internal/bitio"
+	"repro/internal/bitio/bitiotest"
 	"repro/internal/forestcode"
 	"repro/internal/spantree"
 )
-
-// bytesToBits converts fuzz input into a bit string.
-func bytesToBits(data []byte) bitio.String {
-	var w bitio.Writer
-	for _, b := range data {
-		w.WriteUint(uint64(b), 8)
-	}
-	return w.String()
-}
-
-// isPrefix reports whether p is a prefix of s.
-func isPrefix(p, s bitio.String) bool {
-	if p.Len() > s.Len() {
-		return false
-	}
-	for i := 0; i < p.Len(); i++ {
-		if p.Bit(i) != s.Bit(i) {
-			return false
-		}
-	}
-	return true
-}
 
 // FuzzDecoders checks the stage's three label decoders, which the
 // outerplanarity and treewidth-2 verifiers both run on adversary bits.
@@ -42,17 +20,10 @@ func FuzzDecoders(f *testing.F) {
 	f.Add([]byte{0xff, 0x13, 0x77, 0x00, 0xc3, 0x9e, 0x41}, uint16(10000), ^uint64(0), uint64(0xdeadbeef), uint64(3))
 	f.Fuzz(func(t *testing.T, data []byte, n uint16, a, b, c uint64) {
 		p := NewParams(int(n))
-		s := bytesToBits(data)
-
-		if l, err := decodeR1(s); err == nil && !isPrefix(l.encode(), s) {
-			t.Fatalf("r1 %+v does not re-encode to its input", l)
-		}
-		if l, err := decodeCoin(s, p); err == nil && !isPrefix(l.encode(p), s) {
-			t.Fatalf("coin %+v does not re-encode to its input", l)
-		}
-		if l, err := decodeR2(s, p); err == nil && !isPrefix(l.encode(p), s) {
-			t.Fatalf("r2 %+v does not re-encode to its input", l)
-		}
+		s := bitiotest.FromBytes(data)
+		bitiotest.Prefix(t, p, s, (*R1).read, R1.write)
+		bitiotest.Prefix(t, p, s, (*Coin).read, Coin.write)
+		bitiotest.Prefix(t, p, s, (*R2).read, R2.write)
 
 		mask := func(v uint64, bits int) uint64 { return v & (1<<uint(bits) - 1) }
 		r1 := R1{
@@ -60,21 +31,15 @@ func FuzzDecoders(f *testing.F) {
 			Cut:    a>>7&1 == 1,
 			Leader: a>>8&1 == 1,
 		}
-		if got, err := decodeR1(r1.encode()); err != nil || got != r1 {
-			t.Fatalf("r1 round trip: %+v -> %+v, %v", r1, got, err)
-		}
+		bitiotest.RoundTrip(t, p, r1, (*R1).read, R1.write)
 		coin := Coin{S: mask(a, p.L), ST: spantree.Coin{A: mask(b, p.ST.Reps), ID: mask(c, p.ST.IDBits)}}
-		if got, err := decodeCoin(coin.encode(p), p); err != nil || got != coin {
-			t.Fatalf("coin round trip: %+v -> %+v, %v", coin, got, err)
-		}
+		bitiotest.RoundTrip(t, p, coin, (*Coin).read, Coin.write)
 		r2 := R2{
 			Self: mask(a, p.L),
 			Sep:  mask(b, p.L),
 			Lead: mask(c, p.L),
 			ST:   spantree.Sum{S: mask(b^c, p.ST.Reps), ID: mask(a^b, p.ST.IDBits)},
 		}
-		if got, err := decodeR2(r2.encode(p), p); err != nil || got != r2 {
-			t.Fatalf("r2 round trip: %+v -> %+v, %v", r2, got, err)
-		}
+		bitiotest.RoundTrip(t, p, r2, (*R2).read, R2.write)
 	})
 }

@@ -127,9 +127,9 @@ func flipBit(s bitio.String, i int) bitio.String {
 		return s
 	}
 	r := s.Reader()
-	head, _ := r.ReadString(i)
-	b, _ := r.ReadBit()
-	tail, _ := r.ReadString(r.Remaining())
+	head := r.ReadString(i)
+	b := r.ReadBool()
+	tail := r.ReadString(r.Remaining())
 	var w bitio.Writer
 	w.WriteString(head)
 	w.WriteBit(!b)

@@ -68,17 +68,17 @@ func TestRunDeliversLabelsAndCoins(t *testing.T) {
 		a1.Node[v] = bitio.FromUint(uint64(10+v), 5)
 	}
 	decide := func(view *View) bool {
-		own0, _ := view.Own[0].Reader().ReadUint(3)
+		own0 := view.Own[0].Reader().ReadUint(3)
 		if own0 != uint64(view.V) {
 			return false
 		}
-		own1, _ := view.Own[1].Reader().ReadUint(5)
+		own1 := view.Own[1].Reader().ReadUint(5)
 		if own1 != uint64(10+view.V) {
 			return false
 		}
 		// Neighbor labels must match the neighbor ids.
 		for p := 0; p < view.Deg; p++ {
-			nb, _ := view.Nbr[p][0].Reader().ReadUint(3)
+			nb := view.Nbr[p][0].Reader().ReadUint(3)
 			if nb != uint64(view.NbrID[p]) {
 				return false
 			}
@@ -88,7 +88,7 @@ func TestRunDeliversLabelsAndCoins(t *testing.T) {
 			found := false
 			for p := 0; p < view.Deg; p++ {
 				if view.EdgeLab[p][0].Len() == 3 {
-					el, _ := view.EdgeLab[p][0].Reader().ReadUint(3)
+					el := view.EdgeLab[p][0].Reader().ReadUint(3)
 					if el == 5 {
 						found = true
 					}
@@ -215,7 +215,7 @@ func TestChannelRunnerMatchesRunner(t *testing.T) {
 	prover := func() Prover { return &fixedProver{assigns: []*Assignment{a0, a1}} }
 	verifier := echoVerifier{decide: func(view *View) bool {
 		// Accept iff round-0 own label equals V and a coin was seen.
-		own, _ := view.Own[0].Reader().ReadUint(4)
+		own := view.Own[0].Reader().ReadUint(4)
 		return own == uint64(view.V) && len(view.Coins) == 1
 	}}
 

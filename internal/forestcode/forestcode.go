@@ -36,31 +36,18 @@ type Label struct {
 	Parity uint8 // depth mod 2
 }
 
-// Encode writes the label as a bit string.
-func (l Label) Encode() bitio.String {
-	var w bitio.Writer
+// Write appends the label's LabelBits bits.
+func (l Label) Write(w *bitio.Writer) {
 	w.WriteUint(uint64(l.C1), colorBits)
 	w.WriteUint(uint64(l.C2), colorBits)
 	w.WriteUint(uint64(l.Parity), 1)
-	return w.String()
 }
 
-// DecodeLabel parses a forest-code label.
-func DecodeLabel(s bitio.String) (Label, error) {
-	r := s.Reader()
-	c1, err := r.ReadUint(colorBits)
-	if err != nil {
-		return Label{}, fmt.Errorf("forestcode: %w", err)
-	}
-	c2, err := r.ReadUint(colorBits)
-	if err != nil {
-		return Label{}, fmt.Errorf("forestcode: %w", err)
-	}
-	p, err := r.ReadUint(1)
-	if err != nil {
-		return Label{}, fmt.Errorf("forestcode: %w", err)
-	}
-	return Label{C1: uint8(c1), C2: uint8(c2), Parity: uint8(p)}, nil
+// Read reads a label written by Write.
+func (l *Label) Read(r *bitio.Reader) {
+	l.C1 = uint8(r.ReadUint(colorBits))
+	l.C2 = uint8(r.ReadUint(colorBits))
+	l.Parity = uint8(r.ReadUint(1))
 }
 
 // EncodeForest computes the labels for a rooted forest of g given by

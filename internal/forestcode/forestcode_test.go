@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitio"
+	"repro/internal/bitio/bitiotest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -151,11 +153,11 @@ func TestEncodeRejectsNonEdgesAndCycles(t *testing.T) {
 func TestLabelEncodeDecode(t *testing.T) {
 	for c1 := uint8(0); c1 < 8; c1++ {
 		l := Label{C1: c1, C2: 7 - c1, Parity: c1 % 2}
-		s := l.Encode()
+		s := encodeLabel(l)
 		if s.Len() != LabelBits {
 			t.Fatalf("encoded %d bits", s.Len())
 		}
-		got, err := DecodeLabel(s)
+		got, err := decodeLabel(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,4 +177,33 @@ func TestDecodeRejectsAmbiguity(t *testing.T) {
 	if _, err := Decode(own, nbr); err == nil {
 		t.Fatal("ambiguous parents accepted")
 	}
+}
+
+// The label codec in the (value, writer, params) shape bitiotest takes;
+// forest-code labels have no parameters.
+func writeLabel(l Label, w *bitio.Writer, _ struct{}) { l.Write(w) }
+func readLabel(l *Label, r *bitio.Reader, _ struct{}) { l.Read(r) }
+
+func encodeLabel(l Label) bitio.String {
+	var w bitio.Writer
+	l.Write(&w)
+	return w.String()
+}
+
+func decodeLabel(s bitio.String) (Label, error) {
+	return bitio.Decode(s, struct{}{}, readLabel)
+}
+
+// FuzzDecoders checks the label decoder every forest-code consumer runs
+// in place on adversary bits: arbitrary input decodes to an error or a
+// value that re-encodes to a prefix of it, and a label built from fuzz
+// values round-trips.
+func FuzzDecoders(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xa5}, uint8(0x7f))
+	f.Fuzz(func(t *testing.T, data []byte, a uint8) {
+		bitiotest.Prefix(t, struct{}{}, bitiotest.FromBytes(data), readLabel, writeLabel)
+		l := Label{C1: a & 7, C2: a >> 3 & 7, Parity: a >> 6 & 1}
+		bitiotest.RoundTrip(t, struct{}{}, l, readLabel, writeLabel)
+	})
 }

@@ -163,6 +163,9 @@ type BlockCutTree struct {
 	BlockDepth []int
 	// ChildBlocks[c] lists child blocks of block c.
 	ChildBlocks [][]int
+	// Order lists every block root-first, breadth-first through
+	// ChildBlocks, so each block comes after its parent.
+	Order []int
 }
 
 // NewBlockCutTree roots the block-cut structure of g at the block
@@ -183,16 +186,6 @@ func NewBlockCutTree(g *Graph, rootHint int) *BlockCutTree {
 	}
 	// blocksOf[v] = blocks containing v.
 	blocksOf := make([][]int, g.N())
-	for ci, verts := range d.Vertices {
-		for _, v := range verts {
-			blocksOf[v] = append(blocksOf[v], v)
-			_ = v
-		}
-		_ = ci
-	}
-	for v := range blocksOf {
-		blocksOf[v] = blocksOf[v][:0]
-	}
 	for ci, verts := range d.Vertices {
 		for _, v := range verts {
 			blocksOf[v] = append(blocksOf[v], ci)
@@ -229,5 +222,6 @@ func NewBlockCutTree(g *Graph, rootHint int) *BlockCutTree {
 			}
 		}
 	}
+	t.Order = queue
 	return t
 }

@@ -309,6 +309,15 @@ func TestBlockCutTree(t *testing.T) {
 	if depths[0] != 1 || depths[1] != 1 || depths[2] != 1 {
 		t.Fatalf("block depths %v", depths)
 	}
+	// Order is root-first with depths nondecreasing.
+	if len(bct.Order) != 3 || bct.Order[0] != bct.RootBlock {
+		t.Fatalf("order %v", bct.Order)
+	}
+	for i, c := range bct.Order {
+		if bct.BlockDepth[c] != i {
+			t.Fatalf("order %v: block %d at depth %d", bct.Order, c, bct.BlockDepth[c])
+		}
+	}
 	// The middle block's separating vertex must be a cut vertex.
 	for c := range bct.Decomp.Components {
 		if c == bct.RootBlock {

@@ -1,10 +1,6 @@
 package lrsort
 
-import (
-	"fmt"
-
-	"repro/internal/bitio"
-)
+import "repro/internal/bitio"
 
 // VBFlag locates a node relative to the marked least-significant-zero bit
 // of its block's position (the consecutive-numbers proof).
@@ -33,49 +29,36 @@ type Round1Node struct {
 	M0, M1 int
 }
 
-// Encode writes the round-1 node label.
-func (l Round1Node) Encode(p Params) bitio.String {
-	var w bitio.Writer
+// Write appends the round-1 node label.
+func (l Round1Node) Write(w *bitio.Writer, p Params) {
 	w.WriteUint(uint64(l.J), p.JBits)
 	w.WriteBool(l.X1Bit)
 	w.WriteBool(l.X2Bit)
 	w.WriteUint(uint64(l.VB), 2)
 	w.WriteUint(uint64(l.M0), p.MBits)
 	w.WriteUint(uint64(l.M1), p.MBits)
+}
+
+// Read reads a round-1 node label.
+func (l *Round1Node) Read(r *bitio.Reader, p Params) {
+	l.J = int(r.ReadUint(p.JBits))
+	l.X1Bit = r.ReadBool()
+	l.X2Bit = r.ReadBool()
+	l.VB = VBFlag(r.ReadUint(2))
+	l.M0 = int(r.ReadUint(p.MBits))
+	l.M1 = int(r.ReadUint(p.MBits))
+}
+
+// Encode returns the round-1 node label's bits.
+func (l Round1Node) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	l.Write(&w, p)
 	return w.String()
 }
 
 // DecodeRound1Node parses a round-1 node label.
 func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
-	r := s.Reader()
-	j, err := r.ReadUint(p.JBits)
-	if err != nil {
-		return Round1Node{}, fmt.Errorf("lrsort: r1 node: %w", err)
-	}
-	x1, err := r.ReadBool()
-	if err != nil {
-		return Round1Node{}, err
-	}
-	x2, err := r.ReadBool()
-	if err != nil {
-		return Round1Node{}, err
-	}
-	vb, err := r.ReadUint(2)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	m0, err := r.ReadUint(p.MBits)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	m1, err := r.ReadUint(p.MBits)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	return Round1Node{
-		J: int(j), X1Bit: x1, X2Bit: x2, VB: VBFlag(vb),
-		M0: int(m0), M1: int(m1),
-	}, nil
+	return bitio.Decode(s, p, (*Round1Node).Read)
 }
 
 // Round1Edge classifies a non-path edge and, for outer-block edges,
@@ -85,26 +68,28 @@ type Round1Edge struct {
 	Index int // distinguishing index in [1..B]; 0 when Inner
 }
 
-// Encode writes the round-1 edge label.
-func (l Round1Edge) Encode(p Params) bitio.String {
-	var w bitio.Writer
+// Write appends the round-1 edge label.
+func (l Round1Edge) Write(w *bitio.Writer, p Params) {
 	w.WriteBool(l.Inner)
 	w.WriteUint(uint64(l.Index), p.JBits)
+}
+
+// Read reads a round-1 edge label.
+func (l *Round1Edge) Read(r *bitio.Reader, p Params) {
+	l.Inner = r.ReadBool()
+	l.Index = int(r.ReadUint(p.JBits))
+}
+
+// Encode returns the round-1 edge label's bits.
+func (l Round1Edge) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	l.Write(&w, p)
 	return w.String()
 }
 
 // DecodeRound1Edge parses a round-1 edge label.
 func DecodeRound1Edge(s bitio.String, p Params) (Round1Edge, error) {
-	r := s.Reader()
-	inner, err := r.ReadBool()
-	if err != nil {
-		return Round1Edge{}, fmt.Errorf("lrsort: r1 edge: %w", err)
-	}
-	idx, err := r.ReadUint(p.JBits)
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	return Round1Edge{Inner: inner, Index: int(idx)}, nil
+	return bitio.Decode(s, p, (*Round1Edge).Read)
 }
 
 // CoinsV1 is a node's public randomness after round 1: the path head's
@@ -114,32 +99,26 @@ type CoinsV1 struct {
 	R, RP, RB uint64
 }
 
-// Encode writes the coins.
+// Write appends the coins.
+func (c CoinsV1) Write(w *bitio.Writer, p Params) {
+	writeUints(w, p.F0Bits(), c.R, c.RP, c.RB)
+}
+
+// Read reads the coins.
+func (c *CoinsV1) Read(r *bitio.Reader, p Params) {
+	readUints(r, p.F0Bits(), &c.R, &c.RP, &c.RB)
+}
+
+// Encode returns the round-1 coins's bits.
 func (c CoinsV1) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	b := p.F0Bits()
-	w.WriteUint(c.R, b)
-	w.WriteUint(c.RP, b)
-	w.WriteUint(c.RB, b)
+	c.Write(&w, p)
 	return w.String()
 }
 
-// DecodeCoinsV1 parses the round-1 coins.
+// DecodeCoinsV1 parses a round-1 coins.
 func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
-	r := s.Reader()
-	b := p.F0Bits()
-	var c CoinsV1
-	var err error
-	if c.R, err = r.ReadUint(b); err != nil {
-		return c, fmt.Errorf("lrsort: coins v1: %w", err)
-	}
-	if c.RP, err = r.ReadUint(b); err != nil {
-		return c, err
-	}
-	if c.RB, err = r.ReadUint(b); err != nil {
-		return c, err
-	}
-	return c, nil
+	return bitio.Decode(s, p, (*CoinsV1).Read)
 }
 
 // Round2Node carries the echoed randomness and the position-polynomial
@@ -154,34 +133,26 @@ type Round2Node struct {
 	PrefPos uint64 // prefix product of (t - r') over pos-bits set (phi^b_j)
 }
 
-// Encode writes the round-2 node label.
+// Write appends the round-2 node label.
+func (l Round2Node) Write(w *bitio.Writer, p Params) {
+	writeUints(w, p.F0Bits(), l.REcho, l.RPEcho, l.RBEcho, l.ChainX1, l.ChainX2, l.BcastX1, l.PrefPos)
+}
+
+// Read reads a round-2 node label.
+func (l *Round2Node) Read(r *bitio.Reader, p Params) {
+	readUints(r, p.F0Bits(), &l.REcho, &l.RPEcho, &l.RBEcho, &l.ChainX1, &l.ChainX2, &l.BcastX1, &l.PrefPos)
+}
+
+// Encode returns the round-2 node label's bits.
 func (l Round2Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	b := p.F0Bits()
-	w.WriteUint(l.REcho, b)
-	w.WriteUint(l.RPEcho, b)
-	w.WriteUint(l.RBEcho, b)
-	w.WriteUint(l.ChainX1, b)
-	w.WriteUint(l.ChainX2, b)
-	w.WriteUint(l.BcastX1, b)
-	w.WriteUint(l.PrefPos, b)
+	l.Write(&w, p)
 	return w.String()
 }
 
 // DecodeRound2Node parses a round-2 node label.
 func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
-	r := s.Reader()
-	b := p.F0Bits()
-	var l Round2Node
-	fields := []*uint64{&l.REcho, &l.RPEcho, &l.RBEcho, &l.ChainX1, &l.ChainX2, &l.BcastX1, &l.PrefPos}
-	for _, f := range fields {
-		v, err := r.ReadUint(b)
-		if err != nil {
-			return l, fmt.Errorf("lrsort: r2 node: %w", err)
-		}
-		*f = v
-	}
-	return l, nil
+	return bitio.Decode(s, p, (*Round2Node).Read)
 }
 
 // Round2Edge carries the committed prefix-polynomial value of an
@@ -190,21 +161,22 @@ type Round2Edge struct {
 	JVal uint64
 }
 
-// Encode writes the round-2 edge label.
+// Write appends the round-2 edge label.
+func (l Round2Edge) Write(w *bitio.Writer, p Params) { w.WriteUint(l.JVal, p.F0Bits()) }
+
+// Read reads a round-2 edge label.
+func (l *Round2Edge) Read(r *bitio.Reader, p Params) { l.JVal = r.ReadUint(p.F0Bits()) }
+
+// Encode returns the round-2 edge label's bits.
 func (l Round2Edge) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteUint(l.JVal, p.F0Bits())
+	l.Write(&w, p)
 	return w.String()
 }
 
 // DecodeRound2Edge parses a round-2 edge label.
 func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
-	r := s.Reader()
-	v, err := r.ReadUint(p.F0Bits())
-	if err != nil {
-		return Round2Edge{}, fmt.Errorf("lrsort: r2 edge: %w", err)
-	}
-	return Round2Edge{JVal: v}, nil
+	return bitio.Decode(s, p, (*Round2Edge).Read)
 }
 
 // CoinsV2 is a node's round-2 randomness: the two in-block multiset
@@ -213,28 +185,22 @@ type CoinsV2 struct {
 	Z0, Z1 uint64
 }
 
-// Encode writes the coins.
+// Write appends the coins.
+func (c CoinsV2) Write(w *bitio.Writer, p Params) { writeUints(w, p.F1Bits(), c.Z0, c.Z1) }
+
+// Read reads the coins.
+func (c *CoinsV2) Read(r *bitio.Reader, p Params) { readUints(r, p.F1Bits(), &c.Z0, &c.Z1) }
+
+// Encode returns the round-2 coins's bits.
 func (c CoinsV2) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	b := p.F1Bits()
-	w.WriteUint(c.Z0, b)
-	w.WriteUint(c.Z1, b)
+	c.Write(&w, p)
 	return w.String()
 }
 
-// DecodeCoinsV2 parses the round-2 coins.
+// DecodeCoinsV2 parses a round-2 coins.
 func DecodeCoinsV2(s bitio.String, p Params) (CoinsV2, error) {
-	r := s.Reader()
-	b := p.F1Bits()
-	var c CoinsV2
-	var err error
-	if c.Z0, err = r.ReadUint(b); err != nil {
-		return c, fmt.Errorf("lrsort: coins v2: %w", err)
-	}
-	if c.Z1, err = r.ReadUint(b); err != nil {
-		return c, err
-	}
-	return c, nil
+	return bitio.Decode(s, p, (*CoinsV2).Read)
 }
 
 // Round3Node carries the echoes of z0/z1 and the four aggregation chains
@@ -246,28 +212,36 @@ type Round3Node struct {
 	AggC1, AggD1   uint64
 }
 
-// Encode writes the round-3 node label.
+// Write appends the round-3 node label.
+func (l Round3Node) Write(w *bitio.Writer, p Params) {
+	writeUints(w, p.F1Bits(), l.Z0Echo, l.Z1Echo, l.AggC0, l.AggD0, l.AggC1, l.AggD1)
+}
+
+// Read reads a round-3 node label.
+func (l *Round3Node) Read(r *bitio.Reader, p Params) {
+	readUints(r, p.F1Bits(), &l.Z0Echo, &l.Z1Echo, &l.AggC0, &l.AggD0, &l.AggC1, &l.AggD1)
+}
+
+// Encode returns the round-3 node label's bits.
 func (l Round3Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	b := p.F1Bits()
-	for _, v := range []uint64{l.Z0Echo, l.Z1Echo, l.AggC0, l.AggD0, l.AggC1, l.AggD1} {
-		w.WriteUint(v, b)
-	}
+	l.Write(&w, p)
 	return w.String()
 }
 
 // DecodeRound3Node parses a round-3 node label.
 func DecodeRound3Node(s bitio.String, p Params) (Round3Node, error) {
-	r := s.Reader()
-	b := p.F1Bits()
-	var l Round3Node
-	fields := []*uint64{&l.Z0Echo, &l.Z1Echo, &l.AggC0, &l.AggD0, &l.AggC1, &l.AggD1}
-	for _, f := range fields {
-		v, err := r.ReadUint(b)
-		if err != nil {
-			return l, fmt.Errorf("lrsort: r3 node: %w", err)
-		}
-		*f = v
+	return bitio.Decode(s, p, (*Round3Node).Read)
+}
+
+func writeUints(w *bitio.Writer, width int, vs ...uint64) {
+	for _, v := range vs {
+		w.WriteUint(v, width)
 	}
-	return l, nil
+}
+
+func readUints(r *bitio.Reader, width int, fs ...*uint64) {
+	for _, f := range fs {
+		*f = r.ReadUint(width)
+	}
 }

@@ -60,33 +60,30 @@ type Label struct {
 	Phi2 uint64
 }
 
-// Encode writes the label (3 field elements).
-func (l Label) Encode(p Params) bitio.String {
-	var w bitio.Writer
+func (l Label) write(w *bitio.Writer, p Params) {
 	b := p.PointBits()
 	w.WriteUint(l.Z, b)
 	w.WriteUint(l.Phi1, b)
 	w.WriteUint(l.Phi2, b)
+}
+
+func (l *Label) read(r *bitio.Reader, p Params) {
+	b := p.PointBits()
+	l.Z = r.ReadUint(b)
+	l.Phi1 = r.ReadUint(b)
+	l.Phi2 = r.ReadUint(b)
+}
+
+// Encode writes the label (3 field elements).
+func (l Label) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeLabel parses a label.
 func DecodeLabel(s bitio.String, p Params) (Label, error) {
-	r := s.Reader()
-	b := p.PointBits()
-	z, err := r.ReadUint(b)
-	if err != nil {
-		return Label{}, fmt.Errorf("multiset: %w", err)
-	}
-	p1, err := r.ReadUint(b)
-	if err != nil {
-		return Label{}, fmt.Errorf("multiset: %w", err)
-	}
-	p2, err := r.ReadUint(b)
-	if err != nil {
-		return Label{}, fmt.Errorf("multiset: %w", err)
-	}
-	return Label{Z: z, Phi1: p1, Phi2: p2}, nil
+	return bitio.Decode(s, p, (*Label).read)
 }
 
 // SamplePoint draws the root's random evaluation point.

@@ -73,11 +73,10 @@ func (hp *honestProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 			s1[v], s2[v] = in.S1, in.S2
 			if in.ParentPort == -1 {
 				parent[v] = -1
-				zv, err := coins[0][v].Reader().ReadUint(hp.p.PointBits())
-				if err != nil {
-					return nil, err
+				r := coins[0][v].Reader()
+				if z = r.ReadUint(hp.p.PointBits()); r.Err() != nil {
+					return nil, r.Err()
 				}
-				z = zv
 			} else {
 				parent[v] = g.Neighbors(v)[in.ParentPort]
 			}
@@ -133,11 +132,10 @@ func (vf verifier) Decide(view *dip.View) bool {
 	}
 	var sampled uint64
 	if in.ParentPort == -1 {
-		z, err := view.Coins[0].Reader().ReadUint(vf.p.PointBits())
-		if err != nil {
+		r := view.Coins[0].Reader()
+		if sampled = r.ReadUint(vf.p.PointBits()); r.Err() != nil {
 			return false
 		}
-		sampled = z
 	}
 	return CheckNode(vf.p, in.ParentPort == -1, sampled, in.S1, in.S2, own, parent, children)
 }

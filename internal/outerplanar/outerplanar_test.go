@@ -90,10 +90,6 @@ func TestSoundnessCrossingChords(t *testing.T) {
 		gi := gen.BiconnectedOuterplanar(rng, n, 0.4)
 		g := gi.G.Clone()
 		// Add a chord crossing an existing one w.r.t. the cycle order.
-		pos := make([]int, n)
-		for i, v := range gi.Cycle {
-			pos[v] = i
-		}
 		added := false
 		for attempt := 0; attempt < 200 && !added; attempt++ {
 			a := rng.Intn(n - 3)
@@ -129,8 +125,7 @@ func TestSoundnessCrossingChords(t *testing.T) {
 				IsCut:    make([]bool, n),
 				IsLeader: make([]bool, n),
 			},
-			Paths:   [][]int{gi.Cycle},
-			HomePos: pos,
+			Paths: [][]int{gi.Cycle},
 		}
 		plan.IsLeader[gi.Cycle[0]] = true
 		plan.ParentF[gi.Cycle[0]] = -1

@@ -49,8 +49,6 @@ type Plan struct {
 	// separating node (or the R-leader's predecessor-free start for the
 	// root component).
 	Paths [][]int
-	// HomePos[v] is v's index in Paths[Home[v]].
-	HomePos []int
 }
 
 // anchors gives every component's structural anchors: its separating
@@ -79,27 +77,11 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	}
 	bct := graph.NewBlockCutTree(g, 0)
 	dec := bct.Decomp
-	nb := len(dec.Components)
-
-	p := &Plan{
-		Witness: blockcut.Witness{
-			Home:     make([]int, n),
-			ParentF:  make([]int, n),
-			IsCut:    append([]bool(nil), dec.IsCut...),
-			IsLeader: make([]bool, n),
-		},
-		Paths:   make([][]int, nb),
-		HomePos: make([]int, n),
-	}
-	for v := range p.Home {
-		p.Home[v] = -1
-		p.ParentF[v] = -2
-	}
+	p := &Plan{Witness: blockcut.NewWitness(dec.IsCut), Paths: make([][]int, len(dec.Components))}
 
 	// Process blocks root-first so each separating vertex's home is fixed
 	// by its parent block before child blocks reference it.
-	order := blocksByDepth(bct)
-	for _, c := range order {
+	for _, c := range bct.Order {
 		sep := bct.ParentCut[c]
 		if c == bct.RootBlock {
 			sep = dec.Vertices[c][0]
@@ -112,38 +94,19 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 		if c == bct.RootBlock {
 			// The root component's "leader" is its own first node; the
 			// second node is an ordinary path member.
-			p.Root = path[0]
-			p.RootComp = c
-			p.Home[path[0]] = c
-			p.HomePos[path[0]] = 0
-			p.ParentF[path[0]] = -1
-			p.IsLeader[path[0]] = true
+			p.SetRoot(path[0], c)
 		} else {
 			p.IsLeader[path[1]] = true
 		}
 		for i := 1; i < len(path); i++ {
 			p.Home[path[i]] = c
-			p.HomePos[path[i]] = i
 			p.ParentF[path[i]] = path[i-1]
 		}
 	}
-	for v := 0; v < n; v++ {
-		if p.Home[v] == -1 || p.ParentF[v] == -2 {
-			return nil, fmt.Errorf("outerplanar: vertex %d not covered by the decomposition", v)
-		}
+	if err := p.Covered(); err != nil {
+		return nil, fmt.Errorf("outerplanar: %w", err)
 	}
 	return p, nil
-}
-
-func blocksByDepth(bct *graph.BlockCutTree) []int {
-	var order []int
-	queue := []int{bct.RootBlock}
-	for i := 0; i < len(queue); i++ {
-		c := queue[i]
-		order = append(order, c)
-		queue = append(queue, bct.ChildBlocks[c]...)
-	}
-	return order
 }
 
 // componentPath returns a Hamiltonian path of component c starting at

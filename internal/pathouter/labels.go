@@ -1,13 +1,17 @@
 package pathouter
 
 import (
-	"fmt"
-
 	"repro/internal/bitio"
 	"repro/internal/forestcode"
 	"repro/internal/lrsort"
 	"repro/internal/spantree"
 )
+
+// Each label is written and read by one write/read pair, which writes
+// and reads its sub-labels (forest code, spanning-tree coins and sums,
+// LR-sorting fields) in place through their own packages' codecs. The
+// exported Encode/Decode functions wrap the pair for a whole bit string;
+// decoding ignores trailing bits.
 
 // Name identifies a non-path edge by the random strings of its endpoints
 // (s_tail, s_head), or the virtual edge (Virtual), whose name is the
@@ -17,33 +21,24 @@ type Name struct {
 	A, B    uint64 // s_tail, s_head
 }
 
-func (nm Name) encode(w *bitio.Writer, p Params) {
-	w.WriteBool(nm.Virtual)
+// write gives a virtual name an all-zero payload.
+func (nm Name) write(w *bitio.Writer, p Params) {
 	if nm.Virtual {
-		w.WriteUint(0, 2*p.NameBits())
-		return
+		nm = Name{Virtual: true}
 	}
+	w.WriteBool(nm.Virtual)
 	w.WriteUint(nm.A, p.NameBits())
 	w.WriteUint(nm.B, p.NameBits())
 }
 
-func decodeName(r *bitio.Reader, p Params) (Name, error) {
-	v, err := r.ReadBool()
-	if err != nil {
-		return Name{}, err
+// read discards a virtual name's payload.
+func (nm *Name) read(r *bitio.Reader, p Params) {
+	nm.Virtual = r.ReadBool()
+	nm.A = r.ReadUint(p.NameBits())
+	nm.B = r.ReadUint(p.NameBits())
+	if nm.Virtual {
+		*nm = Name{Virtual: true}
 	}
-	a, err := r.ReadUint(p.NameBits())
-	if err != nil {
-		return Name{}, err
-	}
-	b, err := r.ReadUint(p.NameBits())
-	if err != nil {
-		return Name{}, err
-	}
-	if v {
-		return Name{Virtual: true}, nil
-	}
-	return Name{A: a, B: b}, nil
 }
 
 // Round1Node is the first prover message at a node: the forest code of
@@ -53,34 +48,26 @@ type Round1Node struct {
 	LR lrsort.Round1Node
 }
 
+func (l Round1Node) write(w *bitio.Writer, p Params) {
+	l.FC.Write(w)
+	l.LR.Write(w, p.LR)
+}
+
+func (l *Round1Node) read(r *bitio.Reader, p Params) {
+	l.FC.Read(r)
+	l.LR.Read(r, p.LR)
+}
+
 // Encode writes the round-1 node label.
 func (l Round1Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteString(l.FC.Encode())
-	w.WriteString(l.LR.Encode(p.LR))
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeRound1Node parses a round-1 node label.
 func DecodeRound1Node(s bitio.String, p Params) (Round1Node, error) {
-	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
-	if err != nil {
-		return Round1Node{}, fmt.Errorf("pathouter: r1 node: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	rest, err := r.ReadString(r.Remaining())
-	if err != nil {
-		return Round1Node{}, err
-	}
-	lr, err := lrsort.DecodeRound1Node(rest, p.LR)
-	if err != nil {
-		return Round1Node{}, err
-	}
-	return Round1Node{FC: fc, LR: lr}, nil
+	return bitio.Decode(s, p, (*Round1Node).read)
 }
 
 // Round1Edge is the first prover message on a non-path edge: the claimed
@@ -96,40 +83,30 @@ type Round1Edge struct {
 	LongestHeadLeft  bool
 }
 
+func (l Round1Edge) write(w *bitio.Writer, p Params) {
+	w.WriteBool(l.TailIsCanonU)
+	l.LR.Write(w, p.LR)
+	w.WriteBool(l.LongestTailRight)
+	w.WriteBool(l.LongestHeadLeft)
+}
+
+func (l *Round1Edge) read(r *bitio.Reader, p Params) {
+	l.TailIsCanonU = r.ReadBool()
+	l.LR.Read(r, p.LR)
+	l.LongestTailRight = r.ReadBool()
+	l.LongestHeadLeft = r.ReadBool()
+}
+
 // Encode writes the round-1 edge label.
 func (l Round1Edge) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteBool(l.TailIsCanonU)
-	w.WriteString(l.LR.Encode(p.LR))
-	w.WriteBool(l.LongestTailRight)
-	w.WriteBool(l.LongestHeadLeft)
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeRound1Edge parses a round-1 edge label.
 func DecodeRound1Edge(s bitio.String, p Params) (Round1Edge, error) {
-	r := s.Reader()
-	t, err := r.ReadBool()
-	if err != nil {
-		return Round1Edge{}, fmt.Errorf("pathouter: r1 edge: %w", err)
-	}
-	lrBits, err := r.ReadString(1 + p.LR.JBits)
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	lr, err := lrsort.DecodeRound1Edge(lrBits, p.LR)
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	ltr, err := r.ReadBool()
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	lhl, err := r.ReadBool()
-	if err != nil {
-		return Round1Edge{}, err
-	}
-	return Round1Edge{TailIsCanonU: t, LR: lr, LongestTailRight: ltr, LongestHeadLeft: lhl}, nil
+	return bitio.Decode(s, p, (*Round1Edge).read)
 }
 
 // CoinsV1 is a node's first public randomness: spanning-tree coins, the
@@ -140,39 +117,28 @@ type CoinsV1 struct {
 	Name uint64
 }
 
+func (c CoinsV1) write(w *bitio.Writer, p Params) {
+	c.ST.Write(w, p.ST)
+	c.LR.Write(w, p.LR)
+	w.WriteUint(c.Name, p.NameBits())
+}
+
+func (c *CoinsV1) read(r *bitio.Reader, p Params) {
+	c.ST.Read(r, p.ST)
+	c.LR.Read(r, p.LR)
+	c.Name = r.ReadUint(p.NameBits())
+}
+
 // Encode writes the coins.
 func (c CoinsV1) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteString(c.ST.Encode(p.ST))
-	w.WriteString(c.LR.Encode(p.LR))
-	w.WriteUint(c.Name, p.NameBits())
+	c.write(&w, p)
 	return w.String()
 }
 
 // DecodeCoinsV1 parses the round-1 coins.
 func DecodeCoinsV1(s bitio.String, p Params) (CoinsV1, error) {
-	r := s.Reader()
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return CoinsV1{}, fmt.Errorf("pathouter: coins: %w", err)
-	}
-	st, err := spantree.DecodeCoin(stBits, p.ST)
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	lrBits, err := r.ReadString(3 * p.LR.F0Bits())
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	lr, err := lrsort.DecodeCoinsV1(lrBits, p.LR)
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	nm, err := r.ReadUint(p.NameBits())
-	if err != nil {
-		return CoinsV1{}, err
-	}
-	return CoinsV1{ST: st, LR: lr, Name: nm}, nil
+	return bitio.Decode(s, p, (*CoinsV1).read)
 }
 
 // Round2Node is the second prover message at a node: spanning-tree sums,
@@ -190,49 +156,32 @@ type Round2Node struct {
 	Above         Name
 }
 
+func (l Round2Node) write(w *bitio.Writer, p Params) {
+	l.ST.Write(w, p.ST)
+	l.LR.Write(w, p.LR)
+	w.WriteBool(l.HasRightEdges)
+	w.WriteBool(l.HasLeftEdges)
+	l.Above.write(w, p)
+}
+
+func (l *Round2Node) read(r *bitio.Reader, p Params) {
+	l.ST.Read(r, p.ST)
+	l.LR.Read(r, p.LR)
+	l.HasRightEdges = r.ReadBool()
+	l.HasLeftEdges = r.ReadBool()
+	l.Above.read(r, p)
+}
+
 // Encode writes the round-2 node label.
 func (l Round2Node) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteString(l.ST.Encode(p.ST))
-	w.WriteString(l.LR.Encode(p.LR))
-	w.WriteBool(l.HasRightEdges)
-	w.WriteBool(l.HasLeftEdges)
-	l.Above.encode(&w, p)
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeRound2Node parses a round-2 node label.
 func DecodeRound2Node(s bitio.String, p Params) (Round2Node, error) {
-	r := s.Reader()
-	stBits, err := r.ReadString(p.ST.Reps + p.ST.IDBits)
-	if err != nil {
-		return Round2Node{}, fmt.Errorf("pathouter: r2 node: %w", err)
-	}
-	st, err := spantree.DecodeSum(stBits, p.ST)
-	if err != nil {
-		return Round2Node{}, err
-	}
-	lrBits, err := r.ReadString(7 * p.LR.F0Bits())
-	if err != nil {
-		return Round2Node{}, err
-	}
-	lr, err := lrsort.DecodeRound2Node(lrBits, p.LR)
-	if err != nil {
-		return Round2Node{}, err
-	}
-	hr, err := r.ReadBool()
-	if err != nil {
-		return Round2Node{}, err
-	}
-	hl, err := r.ReadBool()
-	if err != nil {
-		return Round2Node{}, err
-	}
-	ab, err := decodeName(r, p)
-	if err != nil {
-		return Round2Node{}, err
-	}
-	return Round2Node{ST: st, LR: lr, HasRightEdges: hr, HasLeftEdges: hl, Above: ab}, nil
+	return bitio.Decode(s, p, (*Round2Node).read)
 }
 
 // Round2Edge is the second prover message on a non-path edge: the
@@ -243,33 +192,26 @@ type Round2Edge struct {
 	Succ Name
 }
 
+func (l Round2Edge) write(w *bitio.Writer, p Params) {
+	l.LR.Write(w, p.LR)
+	l.Name.write(w, p)
+	l.Succ.write(w, p)
+}
+
+func (l *Round2Edge) read(r *bitio.Reader, p Params) {
+	l.LR.Read(r, p.LR)
+	l.Name.read(r, p)
+	l.Succ.read(r, p)
+}
+
 // Encode writes the round-2 edge label.
 func (l Round2Edge) Encode(p Params) bitio.String {
 	var w bitio.Writer
-	w.WriteString(l.LR.Encode(p.LR))
-	l.Name.encode(&w, p)
-	l.Succ.encode(&w, p)
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeRound2Edge parses a round-2 edge label.
 func DecodeRound2Edge(s bitio.String, p Params) (Round2Edge, error) {
-	r := s.Reader()
-	lrBits, err := r.ReadString(p.LR.F0Bits())
-	if err != nil {
-		return Round2Edge{}, fmt.Errorf("pathouter: r2 edge: %w", err)
-	}
-	lr, err := lrsort.DecodeRound2Edge(lrBits, p.LR)
-	if err != nil {
-		return Round2Edge{}, err
-	}
-	nm, err := decodeName(r, p)
-	if err != nil {
-		return Round2Edge{}, err
-	}
-	sc, err := decodeName(r, p)
-	if err != nil {
-		return Round2Edge{}, err
-	}
-	return Round2Edge{LR: lr, Name: nm, Succ: sc}, nil
+	return bitio.Decode(s, p, (*Round2Edge).read)
 }

@@ -11,7 +11,6 @@
 package pls
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -55,34 +54,30 @@ type Label struct {
 	AboveL, AboveR uint64
 }
 
-// Encode writes the label (1 + 3*PosBits bits).
-func (l Label) Encode(p Params) bitio.String {
-	var w bitio.Writer
+func (l Label) write(w *bitio.Writer, p Params) {
 	w.WriteUint(l.Pos, p.PosBits)
 	w.WriteBool(l.HasAbove)
 	w.WriteUint(l.AboveL, p.PosBits)
 	w.WriteUint(l.AboveR, p.PosBits)
+}
+
+func (l *Label) read(r *bitio.Reader, p Params) {
+	l.Pos = r.ReadUint(p.PosBits)
+	l.HasAbove = r.ReadBool()
+	l.AboveL = r.ReadUint(p.PosBits)
+	l.AboveR = r.ReadUint(p.PosBits)
+}
+
+// Encode writes the label (1 + 3*PosBits bits).
+func (l Label) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	l.write(&w, p)
 	return w.String()
 }
 
 // DecodeLabel parses a label.
 func DecodeLabel(s bitio.String, p Params) (Label, error) {
-	r := s.Reader()
-	var l Label
-	var err error
-	if l.Pos, err = r.ReadUint(p.PosBits); err != nil {
-		return l, fmt.Errorf("pls: %w", err)
-	}
-	if l.HasAbove, err = r.ReadBool(); err != nil {
-		return l, err
-	}
-	if l.AboveL, err = r.ReadUint(p.PosBits); err != nil {
-		return l, err
-	}
-	if l.AboveR, err = r.ReadUint(p.PosBits); err != nil {
-		return l, err
-	}
-	return l, nil
+	return bitio.Decode(s, p, (*Label).read)
 }
 
 // HonestLabels computes the certificate for a path-outerplanar witness.

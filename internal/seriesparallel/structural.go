@@ -47,28 +47,14 @@ type structR1 struct {
 	InP1 bool // node lies on the first ear
 }
 
-func (l structR1) encode() bitio.String {
-	var w bitio.Writer
-	w.WriteString(l.FC.Encode())
+func (l structR1) write(w *bitio.Writer, _ Params) {
+	l.FC.Write(w)
 	w.WriteBool(l.InP1)
-	return w.String()
 }
 
-func decodeStructR1(s bitio.String) (structR1, error) {
-	r := s.Reader()
-	fcBits, err := r.ReadString(forestcode.LabelBits)
-	if err != nil {
-		return structR1{}, fmt.Errorf("seriesparallel: r1: %w", err)
-	}
-	fc, err := forestcode.DecodeLabel(fcBits)
-	if err != nil {
-		return structR1{}, err
-	}
-	inP1, err := r.ReadBool()
-	if err != nil {
-		return structR1{}, err
-	}
-	return structR1{FC: fc, InP1: inP1}, nil
+func (l *structR1) read(r *bitio.Reader, _ Params) {
+	l.FC.Read(r)
+	l.InP1 = r.ReadBool()
 }
 
 type structEdge1 struct {
@@ -78,24 +64,14 @@ type structEdge1 struct {
 	ConnectsCanonU bool
 }
 
-func (l structEdge1) encode() bitio.String {
-	var w bitio.Writer
+func (l structEdge1) write(w *bitio.Writer, _ Params) {
 	w.WriteUint(uint64(l.Kind), 2)
 	w.WriteBool(l.ConnectsCanonU)
-	return w.String()
 }
 
-func decodeStructEdge1(s bitio.String) (structEdge1, error) {
-	r := s.Reader()
-	k, err := r.ReadUint(2)
-	if err != nil {
-		return structEdge1{}, fmt.Errorf("seriesparallel: e1: %w", err)
-	}
-	cu, err := r.ReadBool()
-	if err != nil {
-		return structEdge1{}, err
-	}
-	return structEdge1{Kind: int(k), ConnectsCanonU: cu}, nil
+func (l *structEdge1) read(r *bitio.Reader, _ Params) {
+	l.Kind = int(r.ReadUint(2))
+	l.ConnectsCanonU = r.ReadBool()
 }
 
 type structCoin struct {
@@ -103,24 +79,14 @@ type structCoin struct {
 	A uint64 // telescoping bits
 }
 
-func (c structCoin) encode(p Params) bitio.String {
-	var w bitio.Writer
+func (c structCoin) write(w *bitio.Writer, p Params) {
 	w.WriteUint(c.R, p.L)
 	w.WriteUint(c.A, p.L)
-	return w.String()
 }
 
-func decodeStructCoin(s bitio.String, p Params) (structCoin, error) {
-	r := s.Reader()
-	var c structCoin
-	var err error
-	if c.R, err = r.ReadUint(p.L); err != nil {
-		return c, fmt.Errorf("seriesparallel: coin: %w", err)
-	}
-	if c.A, err = r.ReadUint(p.L); err != nil {
-		return c, err
-	}
-	return c, nil
+func (c *structCoin) read(r *bitio.Reader, p Params) {
+	c.R = r.ReadUint(p.L)
+	c.A = r.ReadUint(p.L)
 }
 
 type structR2 struct {
@@ -129,28 +95,16 @@ type structR2 struct {
 	Sum     uint64 // telescoping XOR along the sub-ear
 }
 
-func (l structR2) encode(p Params) bitio.String {
-	var w bitio.Writer
+func (l structR2) write(w *bitio.Writer, p Params) {
 	w.WriteUint(l.Ear, p.L)
 	w.WriteUint(l.PredEar, p.L)
 	w.WriteUint(l.Sum, p.L)
-	return w.String()
 }
 
-func decodeStructR2(s bitio.String, p Params) (structR2, error) {
-	r := s.Reader()
-	var l structR2
-	var err error
-	if l.Ear, err = r.ReadUint(p.L); err != nil {
-		return l, fmt.Errorf("seriesparallel: r2: %w", err)
-	}
-	if l.PredEar, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	if l.Sum, err = r.ReadUint(p.L); err != nil {
-		return l, err
-	}
-	return l, nil
+func (l *structR2) read(r *bitio.Reader, p Params) {
+	l.Ear = r.ReadUint(p.L)
+	l.PredEar = r.ReadUint(p.L)
+	l.Sum = r.ReadUint(p.L)
 }
 
 // structEdge2 is the round-2 label of connecting and single-ear edges:
@@ -161,20 +115,9 @@ type structEdge2 struct {
 	HostR uint64
 }
 
-func (l structEdge2) encode(p Params) bitio.String {
-	var w bitio.Writer
-	w.WriteUint(l.HostR, p.L)
-	return w.String()
-}
+func (l structEdge2) write(w *bitio.Writer, p Params) { w.WriteUint(l.HostR, p.L) }
 
-func decodeStructEdge2(s bitio.String, p Params) (structEdge2, error) {
-	r := s.Reader()
-	v, err := r.ReadUint(p.L)
-	if err != nil {
-		return structEdge2{}, fmt.Errorf("seriesparallel: e2: %w", err)
-	}
-	return structEdge2{HostR: v}, nil
-}
+func (l *structEdge2) read(r *bitio.Reader, p Params) { l.HostR = r.ReadUint(p.L) }
 
 // structProver commits a planned ear decomposition.
 type structProver struct {
@@ -217,17 +160,21 @@ func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 		}
 		a := dip.NewEdgeAssignment(g)
 		for v := 0; v < g.N(); v++ {
-			a.Node[v] = structR1{FC: fc[v], InP1: sp.plan.EarOf[v] == 0}.encode()
+			var w bitio.Writer
+			structR1{FC: fc[v], InP1: sp.plan.EarOf[v] == 0}.write(&w, sp.p)
+			a.Node[v] = w.String()
 		}
 		for e, cls := range sp.plan.EdgeKind {
-			a.Edge[e] = structEdge1{Kind: cls.Kind, ConnectsCanonU: cls.ConnectsCanonU}.encode()
+			var w bitio.Writer
+			structEdge1{Kind: cls.Kind, ConnectsCanonU: cls.ConnectsCanonU}.write(&w, sp.p)
+			a.Edge[e] = w.String()
 		}
 		return a, nil
 	case 1:
 		n := g.N()
 		cs := make([]structCoin, n)
 		for v := 0; v < n; v++ {
-			c, err := decodeStructCoin(coins[0][v], sp.p)
+			c, err := bitio.Decode(coins[0][v], sp.p, (*structCoin).read)
 			if err != nil {
 				return nil, err
 			}
@@ -268,7 +215,9 @@ func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 			if host := sp.plan.Host[ear]; host >= 0 {
 				pred = earR[host]
 			}
-			a.Node[v] = structR2{Ear: earR[ear], PredEar: pred, Sum: sums[v]}.encode(sp.p)
+			var w bitio.Writer
+			structR2{Ear: earR[ear], PredEar: pred, Sum: sums[v]}.write(&w, sp.p)
+			a.Node[v] = w.String()
 		}
 		for e, cls := range sp.plan.EdgeKind {
 			if cls.Kind == edgeSubEar {
@@ -279,7 +228,9 @@ func (sp *structProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 			if host >= 0 {
 				hr = earR[host]
 			}
-			a.Edge[e] = structEdge2{HostR: hr}.encode(sp.p)
+			var w bitio.Writer
+			structEdge2{HostR: hr}.write(&w, sp.p)
+			a.Edge[e] = w.String()
 		}
 		return a, nil
 	}
@@ -291,22 +242,24 @@ type structVerifier struct {
 }
 
 func (sv structVerifier) Coins(round int, view *dip.View, rng *rand.Rand) bitio.String {
-	return structCoin{
+	var w bitio.Writer
+	structCoin{
 		R: rng.Uint64() & ((1 << uint(sv.p.L)) - 1),
 		A: rng.Uint64() & ((1 << uint(sv.p.L)) - 1),
-	}.encode(sv.p)
+	}.write(&w, sv.p)
+	return w.String()
 }
 
 func (sv structVerifier) Decide(view *dip.View) bool {
-	own1, err := decodeStructR1(view.Own[0])
+	own1, err := bitio.Decode(view.Own[0], sv.p, (*structR1).read)
 	if err != nil {
 		return false
 	}
-	own2, err := decodeStructR2(view.Own[1], sv.p)
+	own2, err := bitio.Decode(view.Own[1], sv.p, (*structR2).read)
 	if err != nil {
 		return false
 	}
-	coin, err := decodeStructCoin(view.Coins[0], sv.p)
+	coin, err := bitio.Decode(view.Coins[0], sv.p, (*structCoin).read)
 	if err != nil {
 		return false
 	}
@@ -316,17 +269,17 @@ func (sv structVerifier) Decide(view *dip.View) bool {
 	edges := make([]structEdge1, view.Deg)
 	hostR := make([]structEdge2, view.Deg)
 	for port := 0; port < view.Deg; port++ {
-		if nbr1[port], err = decodeStructR1(view.Nbr[port][0]); err != nil {
+		if nbr1[port], err = bitio.Decode(view.Nbr[port][0], sv.p, (*structR1).read); err != nil {
 			return false
 		}
-		if nbr2[port], err = decodeStructR2(view.Nbr[port][1], sv.p); err != nil {
+		if nbr2[port], err = bitio.Decode(view.Nbr[port][1], sv.p, (*structR2).read); err != nil {
 			return false
 		}
-		if edges[port], err = decodeStructEdge1(view.EdgeLab[port][0]); err != nil {
+		if edges[port], err = bitio.Decode(view.EdgeLab[port][0], sv.p, (*structEdge1).read); err != nil {
 			return false
 		}
 		if edges[port].Kind != edgeSubEar {
-			if hostR[port], err = decodeStructEdge2(view.EdgeLab[port][1], sv.p); err != nil {
+			if hostR[port], err = bitio.Decode(view.EdgeLab[port][1], sv.p, (*structEdge2).read); err != nil {
 				return false
 			}
 		}

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Cache is an LRU result cache with singleflight deduplication: at most
 // one computation per key runs at a time, concurrent requests for the
@@ -13,15 +10,8 @@ import (
 // full, deadline exceeded) do not poison the key.
 type Cache struct {
 	mu       sync.Mutex
-	cap      int
-	ll       *list.List                   // front = most recently used
-	items    map[RequestKey]*list.Element // of *cacheEntry
+	store    lru[*Response]
 	inflight map[RequestKey]*flight
-}
-
-type cacheEntry struct {
-	key RequestKey
-	val *Response
 }
 
 type flight struct {
@@ -33,12 +23,7 @@ type flight struct {
 // NewCache returns a cache holding up to capacity responses;
 // capacity <= 0 disables retention but keeps singleflight dedup.
 func NewCache(capacity int) *Cache {
-	return &Cache{
-		cap:      capacity,
-		ll:       list.New(),
-		items:    make(map[RequestKey]*list.Element),
-		inflight: make(map[RequestKey]*flight),
-	}
+	return &Cache{store: newLRU[*Response](capacity), inflight: make(map[RequestKey]*flight)}
 }
 
 // Outcome classifies how a Do call was served, for metrics.
@@ -59,9 +44,7 @@ const (
 // computation, or a fresh run of fn.
 func (c *Cache) Do(key RequestKey, fn func() (*Response, error)) (*Response, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
+	if val, ok := c.store.get(key); ok {
 		c.mu.Unlock()
 		return val, Hit, nil
 	}
@@ -79,13 +62,8 @@ func (c *Cache) Do(key RequestKey, fn func() (*Response, error)) (*Response, Out
 
 	c.mu.Lock()
 	delete(c.inflight, key)
-	if f.err == nil && c.cap > 0 {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: f.val})
-		for c.ll.Len() > c.cap {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*cacheEntry).key)
-		}
+	if f.err == nil {
+		c.store.add(key, f.val)
 	}
 	c.mu.Unlock()
 	return f.val, Computed, f.err
@@ -98,23 +76,12 @@ func (c *Cache) Do(key RequestKey, fn func() (*Response, error)) (*Response, Out
 func (c *Cache) Put(key RequestKey, val *Response) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cap <= 0 {
-		return
-	}
-	if _, ok := c.items[key]; ok {
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
+	c.store.add(key, val)
 }
 
 // Len returns the number of cached responses.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.store.len()
 }

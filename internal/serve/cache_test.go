@@ -138,3 +138,31 @@ func TestCacheZeroCapacity(t *testing.T) {
 		t.Fatalf("capacity<=0 cache retained %d entries", c.Len())
 	}
 }
+
+// TestCachePut pins the ledger-replay path: an existing entry wins over
+// a Put, a Put entry serves as a Hit and takes part in LRU eviction,
+// and a cache with capacity <= 0 ignores Put.
+func TestCachePut(t *testing.T) {
+	c := NewCache(2)
+	c.Do("a", func() (*Response, error) { return &Response{Key: "computed"}, nil })
+	c.Put("a", &Response{Key: "replayed"})
+	c.Put("b", &Response{Key: "b"})
+	for _, key := range []string{"a", "b"} {
+		resp, outcome, _ := c.Do(RequestKey(key), func() (*Response, error) { t.Fatal("recomputed"); return nil, nil })
+		if outcome != Hit {
+			t.Fatalf("%s: outcome %v, want Hit", key, outcome)
+		}
+		if key == "a" && resp.Key != "computed" {
+			t.Fatalf("Put replaced the existing entry: %q", resp.Key)
+		}
+	}
+	c.Put("c", &Response{Key: "c"}) // evicts the LRU entry, a
+	if _, outcome, _ := c.Do("a", func() (*Response, error) { return &Response{}, nil }); outcome != Computed || c.Len() != 2 {
+		t.Fatalf("after eviction: outcome %v, len %d", outcome, c.Len())
+	}
+	off := NewCache(0)
+	off.Put("a", &Response{})
+	if off.Len() != 0 {
+		t.Fatalf("capacity-0 cache kept %d entries", off.Len())
+	}
+}

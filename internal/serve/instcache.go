@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/graph"
@@ -26,43 +25,23 @@ func InstanceKey(n int, edges []graph.Edge, witness []int, rot *planar.Rotation)
 // against the shared frozen state.
 type instanceCache struct {
 	mu    sync.Mutex
-	cap   int
-	ll    *list.List                   // front = most recently used
-	items map[RequestKey]*list.Element // of *instanceEntry
-}
-
-type instanceEntry struct {
-	key  RequestKey
-	inst *Instance
+	store lru[*Instance]
 }
 
 func newInstanceCache(capacity int) *instanceCache {
-	return &instanceCache{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[RequestKey]*list.Element),
-	}
+	return &instanceCache{store: newLRU[*Instance](capacity)}
 }
 
 // Intern returns the cached instance for key, inserting fresh when the
 // key is new. The boolean reports a hit. With capacity <= 0 it always
 // returns (fresh, false).
 func (c *instanceCache) Intern(key RequestKey, fresh *Instance) (*Instance, bool) {
-	if c.cap <= 0 {
-		return fresh, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*instanceEntry).inst, true
+	if inst, ok := c.store.get(key); ok {
+		return inst, true
 	}
-	c.items[key] = c.ll.PushFront(&instanceEntry{key: key, inst: fresh})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*instanceEntry).key)
-	}
+	c.store.add(key, fresh)
 	return fresh, false
 }
 
@@ -70,5 +49,5 @@ func (c *instanceCache) Intern(key RequestKey, fresh *Instance) (*Instance, bool
 func (c *instanceCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.store.len()
 }

@@ -67,8 +67,7 @@ func (hp *honestProver) Round(round int, coins [][]bitio.String) (*dip.Assignmen
 		a := dip.NewAssignment(g)
 		for v := 0; v < g.N(); v++ {
 			var w bitio.Writer
-			w.WriteString(labels[v].Encode())
-			w.WriteBool(parent[v] == -1)
+			round0Label{fc: labels[v], root: parent[v] == -1}.write(&w)
 			a.Node[v] = w.String()
 		}
 		return a, nil
@@ -194,32 +193,40 @@ func (vf verifier) Decide(view *dip.View) bool {
 	return CheckNode(vf.p, dec.ParentPort == -1, coin, ownSum, parentSum, nbrSums)
 }
 
+// round0Label commits the tree: the forest code plus a root mark.
 type round0Label struct {
 	fc   forestcode.Label
 	root bool
 }
 
-func decodeRound0(view *dip.View) (own round0Label, nbr []round0Label, ok bool) {
-	parse := func(s bitio.String) (round0Label, bool) {
-		if s.Len() != forestcode.LabelBits+1 {
-			return round0Label{}, false
-		}
-		r := s.Reader()
-		fcBits, _ := r.ReadString(forestcode.LabelBits)
-		fc, err := forestcode.DecodeLabel(fcBits)
-		if err != nil {
-			return round0Label{}, false
-		}
-		root, _ := r.ReadBool()
-		return round0Label{fc: fc, root: root}, true
+func (l round0Label) write(w *bitio.Writer) {
+	l.fc.Write(w)
+	w.WriteBool(l.root)
+}
+
+func (l *round0Label) read(r *bitio.Reader) {
+	l.fc.Read(r)
+	l.root = r.ReadBool()
+}
+
+// parseRound0 reads a round-0 label, which must be exactly
+// forestcode.LabelBits+1 bits long.
+func parseRound0(s bitio.String) (l round0Label, ok bool) {
+	if s.Len() != forestcode.LabelBits+1 {
+		return round0Label{}, false
 	}
-	own, ok = parse(view.Own[0])
+	l.read(s.Reader())
+	return l, true
+}
+
+func decodeRound0(view *dip.View) (own round0Label, nbr []round0Label, ok bool) {
+	own, ok = parseRound0(view.Own[0])
 	if !ok {
 		return
 	}
 	nbr = make([]round0Label, view.Deg)
 	for p := 0; p < view.Deg; p++ {
-		nbr[p], ok = parse(view.Nbr[p][0])
+		nbr[p], ok = parseRound0(view.Nbr[p][0])
 		if !ok {
 			return
 		}

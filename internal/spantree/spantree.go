@@ -59,26 +59,28 @@ type Coin struct {
 	ID uint64 // IDBits random bits, consumed only if the node is a root
 }
 
-// Encode writes the coin under p.
-func (c Coin) Encode(p Params) bitio.String {
-	var w bitio.Writer
+// Write appends the coin under p.
+func (c Coin) Write(w *bitio.Writer, p Params) {
 	w.WriteUint(c.A, p.Reps)
 	w.WriteUint(c.ID, p.IDBits)
+}
+
+// Read reads a coin written by Write.
+func (c *Coin) Read(r *bitio.Reader, p Params) {
+	c.A = r.ReadUint(p.Reps)
+	c.ID = r.ReadUint(p.IDBits)
+}
+
+// Encode returns the coin's bits under p.
+func (c Coin) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	c.Write(&w, p)
 	return w.String()
 }
 
 // DecodeCoin parses a coin.
 func DecodeCoin(s bitio.String, p Params) (Coin, error) {
-	r := s.Reader()
-	a, err := r.ReadUint(p.Reps)
-	if err != nil {
-		return Coin{}, fmt.Errorf("spantree: %w", err)
-	}
-	id, err := r.ReadUint(p.IDBits)
-	if err != nil {
-		return Coin{}, fmt.Errorf("spantree: %w", err)
-	}
-	return Coin{A: a, ID: id}, nil
+	return bitio.Decode(s, p, (*Coin).Read)
 }
 
 // SampleCoin draws a fresh coin.
@@ -102,26 +104,28 @@ type Sum struct {
 	ID uint64 // component ID
 }
 
-// Encode writes the sum under p.
-func (s Sum) Encode(p Params) bitio.String {
-	var w bitio.Writer
+// Write appends the sum under p.
+func (s Sum) Write(w *bitio.Writer, p Params) {
 	w.WriteUint(s.S, p.Reps)
 	w.WriteUint(s.ID, p.IDBits)
+}
+
+// Read reads a sum written by Write.
+func (s *Sum) Read(r *bitio.Reader, p Params) {
+	s.S = r.ReadUint(p.Reps)
+	s.ID = r.ReadUint(p.IDBits)
+}
+
+// Encode returns the sum's bits under p.
+func (s Sum) Encode(p Params) bitio.String {
+	var w bitio.Writer
+	s.Write(&w, p)
 	return w.String()
 }
 
 // DecodeSum parses a sum label.
-func DecodeSum(b bitio.String, p Params) (Sum, error) {
-	r := b.Reader()
-	s, err := r.ReadUint(p.Reps)
-	if err != nil {
-		return Sum{}, fmt.Errorf("spantree: %w", err)
-	}
-	id, err := r.ReadUint(p.IDBits)
-	if err != nil {
-		return Sum{}, fmt.Errorf("spantree: %w", err)
-	}
-	return Sum{S: s, ID: id}, nil
+func DecodeSum(s bitio.String, p Params) (Sum, error) {
+	return bitio.Decode(s, p, (*Sum).Read)
 }
 
 // HonestSums computes the honest prover's labels for the rooted forest

@@ -105,32 +105,17 @@ func (fp *forgedForestProver) Round(round int, coins [][]bitio.String) (*dip.Ass
 }
 
 func encodeStructure(g *graph.Graph, parent []int) (*dip.Assignment, error) {
-	labels, err := encodeForestLabels(g, parent)
+	labels, err := forestcode.EncodeForest(g, parent)
 	if err != nil {
 		return nil, err
 	}
 	a := dip.NewAssignment(g)
 	for v := 0; v < g.N(); v++ {
 		var w bitio.Writer
-		for i := 0; i < labels[v].Len(); i++ {
-			w.WriteBit(labels[v].Bit(i))
-		}
-		w.WriteBool(parent[v] == -1)
+		round0Label{fc: labels[v], root: parent[v] == -1}.write(&w)
 		a.Node[v] = w.String()
 	}
 	return a, nil
-}
-
-func encodeForestLabels(g *graph.Graph, parent []int) ([]bitio.String, error) {
-	ls, err := forestcode.EncodeForest(g, parent)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bitio.String, len(ls))
-	for i := range ls {
-		out[i] = ls[i].Encode()
-	}
-	return out, nil
 }
 
 func TestSoundnessTwoComponents(t *testing.T) {

@@ -50,33 +50,12 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 	}
 	bct := graph.NewBlockCutTree(g, 0)
 	dec := bct.Decomp
-	p := &Plan{
-		Witness: blockcut.Witness{
-			ParentF:  make([]int, n),
-			Home:     make([]int, n),
-			IsCut:    append([]bool(nil), dec.IsCut...),
-			IsLeader: make([]bool, n),
-		},
-		BlockVerts: make([][]int, len(dec.Components)),
-	}
-	for v := range p.ParentF {
-		p.ParentF[v] = -2
-		p.Home[v] = -1
-	}
-	order := []int{bct.RootBlock}
-	for i := 0; i < len(order); i++ {
-		order = append(order, bct.ChildBlocks[order[i]]...)
-	}
-	for _, c := range order {
-		verts := dec.Vertices[c]
+	p := &Plan{Witness: blockcut.NewWitness(dec.IsCut), BlockVerts: make([][]int, len(dec.Components))}
+	for _, c := range bct.Order {
 		sep := bct.ParentCut[c]
 		if c == bct.RootBlock {
-			sep = verts[0]
-			p.Root = sep
-			p.RootComp = c
-			p.Home[sep] = c
-			p.ParentF[sep] = -1
-			p.IsLeader[sep] = true
+			sep = dec.Vertices[c][0]
+			p.SetRoot(sep, c)
 		}
 		sub, orig := dec.Block(c)
 		parents := dfsTree(sub, slices.Index(orig, sep))
@@ -98,10 +77,8 @@ func HonestPlan(g *graph.Graph) (*Plan, error) {
 		}
 		p.BlockVerts[c] = ordered
 	}
-	for v := 0; v < n; v++ {
-		if p.ParentF[v] == -2 || p.Home[v] == -1 {
-			return nil, fmt.Errorf("treewidth2: vertex %d uncovered", v)
-		}
+	if err := p.Covered(); err != nil {
+		return nil, fmt.Errorf("treewidth2: %w", err)
 	}
 	return p, nil
 }
